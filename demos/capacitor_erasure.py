@@ -19,12 +19,10 @@ This script reproduces three headline numbers in reduced units
 Run: python demos/capacitor_erasure.py
 """
 
-import numpy as np
-
-from thermobit import (CellParams, ErasureExperimentConfig, bit_information, erase,
+from thermobit import (CellParams, ErasureExperimentConfig, bit_information,
                        erase_dissipation_theory, partial_erase_error_prob,
-                       run_erasure_experiment, write_bit)
-from thermobit.streams import make_stream
+                       run_erasure_experiment)
+from thermobit.capacitor import erase_ensemble, write_ensemble
 
 cell = CellParams.reduced()
 n = 20_000
@@ -32,16 +30,14 @@ n = 20_000
 print("=== 1. Erase heat vs written level ===")
 print(f"{'u0/sigma':>9} {'<Q_env> sim':>12} {'theory':>9}")
 for u0 in (0.5, 1.0, 2.0):
-    q = np.array([erase(u0, 20.0, cell, 0.01, make_stream(100, i)).bath_heat
-                  for i in range(n)])
+    q = erase_ensemble(u0, 20.0, cell, 0.01, n, master_seed=100)
     theory = erase_dissipation_theory(u0, cell)
     print(f"{u0:9.1f} {q.mean():12.4f} {theory:9.4f}")
 print("Note the sign change at u0 = sigma: below it, erasing a bit *cools*")
 print("the memory cell and heats nothing.\n")
 
 print("=== 2. Writing costs what erasing released ===")
-qw = np.array([write_bit(1, 0.5, cell, 0.01, make_stream(101, i)).bath_heat
-               for i in range(n)])
+qw, _, _ = write_ensemble(1, 0.5, cell, 0.01, n, master_seed=101)
 print(f"mean write heat at u0 = 0.5 sigma: {qw.mean():+.4f} kT "
       f"(theory {-erase_dissipation_theory(0.5, cell):+.4f})")
 print("The write is powered by the bath; the books balance only once the")

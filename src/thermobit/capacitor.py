@@ -15,17 +15,16 @@ weakly-written bit cools the environment.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.special import erfc, ndtr
+from scipy.special import ndtr
 
 from .ensemble import run_parallel_ensemble
 from .infotheory import BitChannelStats, InformationContent, estimate_error_prob, remaining_information
-from .ou import CellParams, ou_sample_stationary
+from .ou import CellParams, _check_step_args, ou_sample_stationary
 from .streams import RngStream
 
 __all__ = [
@@ -40,15 +39,21 @@ __all__ = [
     "erase_dissipation_theory",
     "partial_erase_error_prob",
     "run_erasure_experiment",
+    "write_ensemble",
+    "erase_ensemble",
+    "BLOCK",
 ]
 
 # Default sampling interval, as a fraction of tau.  Keeps the
 # first-passage overshoot bias of the crossing detector negligible.
 DEFAULT_DT_FRACTION = 0.01
 
-# Default complete-erasure duration: at 20*tau the analytic read-error
-# probability is within 2e-9 of 0.5.
-DEFAULT_ERASE_TAU = 20.0
+# Trajectories per ensemble task.  Each block owns one stream, so the
+# stream key and the task overhead are paid once per BLOCK trajectories.
+BLOCK = 256
+
+# Normals drawn per row per first-passage round.
+_ROUND_WIDTH = 128
 
 
 class WriteTimeoutError(RuntimeError):
@@ -92,10 +97,6 @@ class ErasureReport:
     information: InformationContent
 
 
-def _capacitor_energy(c, v):
-    return 0.5 * c * v * v
-
-
 def read_bit(v):
     """Sign decision: 1 for positive voltage, 0 for negative (tie -> 1)."""
     v = float(v)
@@ -135,8 +136,64 @@ def partial_erase_error_prob(u0, t, p: CellParams):
     return float(ndtr(-u0 * mu / s))
 
 
+def _bath_heat(c, v_from, v_to):
+    """Ledger identity: heat to the bath is minus the stored-energy change."""
+    return 0.5 * c * v_from * v_from - 0.5 * c * v_to * v_to
+
+
+def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
+    """Steps each row's sampled walk v <- mu*v + s*z takes to reach its target.
+
+    Rows that start at or beyond their target take 0 steps.  Each round
+    draws a (rows, _ROUND_WIDTH) array of normals and walks every row with
+    one lfilter call; a row is done at its first sample at or past the
+    target, and done rows drop out of later rounds.
+    """
+    mu = math.exp(-dt / p.tau)
+    s = p.sigma_st * math.sqrt(1.0 - mu * mu)
+    steps = np.zeros(v.size, dtype=np.int64)
+    side = np.sign(v - target)
+    active = np.nonzero((v - target) * (0.0 - target) > 0.0)[0]
+    prev = v[active]
+    walked = 0
+    while active.size:
+        z = rng.standard_normal((active.size, _ROUND_WIDTH))
+        path, _ = lfilter([s], [1.0, -mu], z, axis=1, zi=mu * prev[:, None])
+        crossed = (path - target[active, None]) * side[active, None] <= 0.0
+        hit = crossed.any(axis=1)
+        steps[active[hit]] = walked + crossed[hit].argmax(axis=1) + 1
+        walked += _ROUND_WIDTH
+        active, prev = active[~hit], path[~hit, -1]
+        if active.size and walked * dt > max_duration:
+            raise WriteTimeoutError(f"no passage of {active.size} writes within {max_duration!r} s "
+                                    f"(u0/sigma = {abs(target[0]) / p.sigma_st:.3g})")
+    return steps
+
+
+def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream,
+                per_sample_error=0.5, max_duration=None):
+    """Write bits[i] on row i; return (v_start, target, steps, control_cost) arrays."""
+    u0 = float(u0)
+    if not (math.isfinite(u0) and u0 > 0.0):
+        raise ValueError(f"u0 must be positive, got {u0!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0.0 < per_sample_error <= 0.5:
+        raise ValueError("per_sample_error must lie in (0, 0.5]")
+    if max_duration is None:
+        # Generous guard: mean first-passage time to u0 from the bulk is
+        # O(tau * exp(u0^2 / (2 sigma^2))) for u0 above sigma.
+        max_duration = 1e4 * p.tau * math.exp(0.5 * (u0 / p.sigma_st) ** 2)
+
+    target = np.where(bits == 1, u0, -u0)
+    v_start = ou_sample_stationary(p, rng, size=target.size)
+    steps = _first_passage(v_start, target, p, dt, rng, max_duration)
+    control = (steps + 1) * (p.kT * math.log(1.0 / per_sample_error))
+    return v_start, target, steps, control
+
+
 def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *,
-              per_sample_error=0.5, max_duration=None, batch=512):
+              per_sample_error=0.5, max_duration=None):
     """Write `bit` by first passage of the connected cell to +-u0.
 
     The initial state is a fresh stationary sample (the cell is assumed
@@ -153,89 +210,42 @@ def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *,
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    u0 = float(u0)
-    if not (math.isfinite(u0) and u0 > 0.0):
-        raise ValueError(f"u0 must be positive, got {u0!r}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if not 0.0 < per_sample_error <= 0.5:
-        raise ValueError("per_sample_error must lie in (0, 0.5]")
-    if max_duration is None:
-        # Generous guard: mean first-passage time to u0 from the bulk is
-        # O(tau * exp(u0^2 / (2 sigma^2))) for u0 above sigma.
-        max_duration = 1e4 * p.tau * math.exp(0.5 * (u0 / p.sigma_st) ** 2)
+    v_start, target, steps, control = (x.item() for x in _write_rows(
+        np.array([bit]), u0, p, dt, rng, per_sample_error, max_duration))
+    return WriteRecord(bit_written=bit, target_level=target, duration=steps * dt,
+                       v_start=v_start, v_final=target, n_samples=steps + 1,
+                       bath_heat=_bath_heat(p.capacitance, v_start, target),
+                       control_cost_lower_bound=control)
 
-    target = u0 if bit == 1 else -u0
-    v_start = float(ou_sample_stationary(p, rng))
-    per_decision = p.kT * math.log(1.0 / per_sample_error)
 
-    side = v_start - target
-    steps = 0
-    if side * (0.0 - target) > 0.0:
-        # Initial sample is strictly between 0-side and target; walk until crossing.
-        mu = math.exp(-dt / p.tau)
-        s = p.sigma_st * math.sqrt(1.0 - mu * mu)
-        start_sign = 1.0 if side > 0.0 else -1.0
-        prev = v_start
-        while True:
-            z = rng.standard_normal(batch)
-            path, _ = lfilter([s], [1.0, -mu], z, zi=np.array([mu * prev]))
-            crossed = (path - target) * start_sign <= 0.0
-            hit = np.nonzero(crossed)[0]
-            if hit.size:
-                steps += int(hit[0]) + 1
-                break
-            steps += batch
-            prev = float(path[-1])
-            if steps * dt > max_duration:
-                raise WriteTimeoutError(
-                    f"no passage to {target!r} within {max_duration!r} s "
-                    f"(u0/sigma = {u0 / p.sigma_st:.3g})")
+def _erase_rows(v0, duration, p: CellParams, dt, rng: RngStream):
+    """Thermalize each row of v0 for t = ceil(duration/dt)*dt; return (v_final, t).
 
-    duration = steps * dt
-    n_samples = steps + 1
-    q_env = -(_capacitor_energy(p.capacitance, target)
-              - _capacitor_energy(p.capacitance, v_start))
-    return WriteRecord(
-        bit_written=bit,
-        target_level=target,
-        duration=duration,
-        v_start=v_start,
-        v_final=target,
-        n_samples=n_samples,
-        bath_heat=q_env,
-        control_cost_lower_bound=n_samples * per_decision,
-    )
+    One draw per row: the OU transition over any time t is exactly
+    v0*exp(-t/tau) + sigma_st*sqrt(1 - exp(-2t/tau))*Z.
+    """
+    _check_step_args(v0, dt)
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
+    if duration == 0.0:
+        return v0, 0.0
+    t = math.ceil(duration / dt) * dt
+    s = p.sigma_st * math.sqrt(-math.expm1(-2.0 * t / p.tau))
+    return v0 * math.exp(-t / p.tau) + s * rng.standard_normal(np.shape(v0)), t
 
 
 def erase(v0, duration, p: CellParams, dt, rng: RngStream):
     """Reconnect the resistor and thermalize for `duration` (no measurement).
 
-    Uses the exact OU transition per dt step; the number of steps is
-    ceil(duration/dt) and the recorded duration is the simulated
-    n_steps*dt.  The bath heat follows from the ledger identity alone.
+    One exact OU transition over ceil(duration/dt)*dt, which is also the
+    recorded duration; `dt` only sets that rounding.  The bath heat
+    follows from the ledger identity alone.
     """
     v0 = float(v0)
-    if not math.isfinite(v0):
-        raise ValueError(f"v0 must be finite, got {v0!r}")
-    if not (duration >= 0.0):
-        raise ValueError(f"duration must be non-negative, got {duration!r}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-
-    if duration == 0.0:
-        return EraseRecord(v_start=v0, v_final=v0, duration=0.0, bath_heat=0.0)
-
-    n = math.ceil(duration / dt)
-    mu = math.exp(-dt / p.tau)
-    s = p.sigma_st * math.sqrt(1.0 - mu * mu)
-    z = rng.standard_normal(n)
-    # Closed form of the n-fold step recursion v <- mu*v + s*z.
-    weights = mu ** np.arange(n - 1, -1, -1)
-    v_final = v0 * mu ** n + s * float(weights @ z)
-    q_env = -(_capacitor_energy(p.capacitance, v_final)
-              - _capacitor_energy(p.capacitance, v0))
-    return EraseRecord(v_start=v0, v_final=v_final, duration=n * dt, bath_heat=q_env)
+    v_final, t = _erase_rows(np.array([v0]), duration, p, dt, rng)
+    v_final = v_final.item()
+    return EraseRecord(v_start=v0, v_final=v_final, duration=t,
+                       bath_heat=_bath_heat(p.capacitance, v0, v_final))
 
 
 @dataclass(frozen=True)
@@ -249,15 +259,14 @@ class ErasureExperimentConfig:
     master_seed: int
     dt: float = None  # defaults to DEFAULT_DT_FRACTION * tau
     worker_count: int = 1
-    per_sample_error: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.u0) and self.u0 > 0.0):
             raise ValueError("u0 must be positive")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        if any(d < 0 for d in self.durations):
-            raise ValueError("durations must be non-negative")
+        if not all(0.0 <= d < math.inf for d in self.durations):
+            raise ValueError("durations must be finite and non-negative")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
         if self.dt is not None and not self.dt > 0:
@@ -268,32 +277,72 @@ class ErasureExperimentConfig:
         return self.dt if self.dt is not None else DEFAULT_DT_FRACTION * self.cell.tau
 
 
-def _erasure_trajectory(stream, cell, u0, duration, dt, per_sample_error):
-    bit = int(stream.integers(0, 2))
-    wr = write_bit(bit, u0, cell, dt, stream, per_sample_error=per_sample_error)
-    er = erase(wr.v_final, duration, cell, dt, stream)
-    return bit, read_bit(er.v_final), er.bath_heat
+def _sized_block(stream, task, n, first_index):
+    return task(stream, min(BLOCK, n - (stream.stream_index - first_index) * BLOCK))
+
+
+def _run_blocks(block_fn, n, master_seed, worker_count, stream_offset=0, **kwargs):
+    """Run block_fn(stream, rows, **kwargs) on ceil(n/BLOCK) blocks; concatenate each output.
+
+    Block k uses stream stream_offset + k and holds BLOCK rows, except
+    the last, which holds the rest.
+    """
+    task = partial(_sized_block, task=partial(block_fn, **kwargs), n=n, first_index=stream_offset)
+    parts = run_parallel_ensemble(task, -(-n // BLOCK), master_seed,
+                                  worker_count=worker_count, stream_offset=stream_offset)
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _write_block(stream, rows, bit, u0, p, dt):
+    v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, p, dt, stream)
+    return _bath_heat(p.capacitance, v_start, target), steps, control
+
+
+def _erase_block(stream, rows, v0, duration, p, dt):
+    v0 = np.full(rows, float(v0))
+    v_final, _ = _erase_rows(v0, duration, p, dt, stream)
+    return (_bath_heat(p.capacitance, v0, v_final),)
+
+
+def _erasure_block(stream, rows, u0, duration, p, dt):
+    bits = stream.integers(0, 2, size=rows)
+    _, target, _, _ = _write_rows(bits, u0, p, dt, stream)
+    v_final, _ = _erase_rows(target, duration, p, dt, stream)
+    return bits, (v_final >= 0.0).astype(bits.dtype), _bath_heat(p.capacitance, target, v_final)
+
+
+def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *, worker_count=1):
+    """Write `bit` on n independent cells (see write_bit).
+
+    Returns arrays (bath_heat, steps, control_cost_lower_bound); a
+    write of `steps` steps lasts steps*dt and takes steps+1 decisions.
+    """
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    return _run_blocks(_write_block, n, master_seed, worker_count, bit=bit, u0=u0, p=p, dt=dt)
+
+
+def erase_ensemble(v0, duration, p: CellParams, dt, n, master_seed, *,
+                   worker_count=1, stream_offset=0):
+    """Bath heat of n independent erases from v0 (see erase), as an array."""
+    (heat,) = _run_blocks(_erase_block, n, master_seed, worker_count, stream_offset,
+                          v0=v0, duration=duration, p=p, dt=dt)
+    return heat
 
 
 def run_erasure_experiment(config: ErasureExperimentConfig) -> list:
     """Write random bits, erase for each duration, read, and tally.
 
-    Returns one ErasureReport per duration.  Each (duration, trajectory)
-    pair owns a distinct stream index, so results are reproducible and
-    independent of the worker count.
+    Returns one ErasureReport per duration.  Each duration owns a
+    disjoint range of block stream indices, so results are reproducible
+    and independent of the worker count.
     """
     reports = []
     n = config.n_trajectories
     for d_idx, duration in enumerate(config.durations):
-        task = partial(_erasure_trajectory, cell=config.cell, u0=config.u0,
-                       duration=float(duration), dt=config.step,
-                       per_sample_error=config.per_sample_error)
-        results = run_parallel_ensemble(task, n, config.master_seed,
-                                        worker_count=config.worker_count,
-                                        stream_offset=d_idx * n)
-        bits = np.array([r[0] for r in results])
-        reads = np.array([r[1] for r in results])
-        q = np.array([r[2] for r in results])
+        bits, reads, q = _run_blocks(
+            _erasure_block, n, config.master_seed, config.worker_count, d_idx * -(-n // BLOCK),
+            u0=config.u0, duration=float(duration), p=config.cell, dt=config.step)
         channel = estimate_error_prob(bits, reads)
         reports.append(ErasureReport(
             duration=float(duration),

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from . import bounds as bounds_mod
 from . import capacitor as cap_mod
 from . import doublewell as dw_mod
 from . import infotheory as info_mod
-from .ensemble import EnsembleWorkerError, run_parallel_ensemble
+from .ensemble import EnsembleWorkerError
 from .ou import CellParams
 from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
 
@@ -56,12 +55,19 @@ class ExperimentConfig:
             raise ConfigError("n_trajectories must be >= 1")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
-        durations = self.options.get("durations_tau")
-        if durations is not None:
-            if any(d < 0 for d in durations):
-                raise ConfigError("durations must be non-negative")
-            if list(durations) != sorted(durations):
-                raise ConfigError("duration grid must be sorted ascending")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
+        if not 0.0 < self.options.get("dt_tau", 1.0) < math.inf:
+            raise ConfigError("dt_tau must be positive and finite")
+        # An erase may start from v = 0; a write needs a non-zero target.
+        u0 = self.options.get("u0_sigma", 1.0)
+        if not (0.0 <= u0 < math.inf and (u0 > 0.0 or self.subcommand == "capacitor_erase")):
+            raise ConfigError(f"u0_sigma must be finite and positive, got {u0!r}")
+        grid = list(self.options.get("durations_tau", []))
+        if not all(0.0 <= d < math.inf for d in grid + [self.options.get("duration_tau", 0.0)]):
+            raise ConfigError("durations must be finite and non-negative")
+        if grid != sorted(grid):
+            raise ConfigError("duration grid must be sorted ascending")
 
     def as_dict(self):
         out = {
@@ -152,38 +158,21 @@ def _se(values):
     return float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
 
 
-# --- per-trajectory tasks (module-level so they pickle for worker pools) ---
-
-def _write_task(stream, cell, bit, u0, dt, per_sample_error):
-    wr = cap_mod.write_bit(bit, u0, cell, dt, stream, per_sample_error=per_sample_error)
-    return (wr.bath_heat, wr.duration, wr.n_samples, wr.control_cost_lower_bound)
-
-
-def _erase_task(stream, cell, v0, duration, dt):
-    er = cap_mod.erase(v0, duration, cell, dt, stream)
-    return er.bath_heat
-
-
 # --- subcommand runners: return (base_name, columns, rows, summary) ---
 
 def _run_capacitor_write(cfg, cell):
     o = cfg.options
     u0 = o["u0_sigma"] * cell.sigma_st
     dt = o["dt_tau"] * cell.tau
-    task = partial(_write_task, cell=cell, bit=o["bit"], u0=u0, dt=dt,
-                   per_sample_error=0.5)
-    results = run_parallel_ensemble(task, cfg.n_trajectories, cfg.master_seed,
-                                    worker_count=cfg.worker_count)
-    q = np.array([r[0] for r in results]) / cell.kT
-    durations = np.array([r[1] for r in results]) / cell.tau
-    n_samples = np.array([r[2] for r in results], dtype=float)
-    control = np.array([r[3] for r in results]) / cell.kT
+    q, steps, control = cap_mod.write_ensemble(o["bit"], u0, cell, dt, cfg.n_trajectories,
+                                               cfg.master_seed, worker_count=cfg.worker_count)
+    q, control = q / cell.kT, control / cell.kT
     theory = 0.5 * (1.0 - o["u0_sigma"] ** 2)
     columns = ["bit", "u0_sigma", "n", "mean_Q_env_kT", "se_Q_env_kT",
                "theory_Q_env_kT", "mean_duration_tau", "mean_n_samples",
                "mean_control_cost_kT"]
     row = [o["bit"], o["u0_sigma"], cfg.n_trajectories, float(q.mean()), _se(q),
-           theory, float(durations.mean()), float(n_samples.mean()),
+           theory, float(steps.mean() * dt / cell.tau), float(steps.mean() + 1.0),
            float(control.mean())]
     summary = {"mean_Q_env_kT": row[3], "se_Q_env_kT": row[4],
                "theory_Q_env_kT": theory, "mean_control_cost_kT": row[8]}
@@ -193,12 +182,9 @@ def _run_capacitor_write(cfg, cell):
 def _run_capacitor_erase(cfg, cell):
     o = cfg.options
     u0 = o["u0_sigma"] * cell.sigma_st
-    dt = o["dt_tau"] * cell.tau
-    duration = o["duration_tau"] * cell.tau
-    task = partial(_erase_task, cell=cell, v0=u0, duration=duration, dt=dt)
-    results = run_parallel_ensemble(task, cfg.n_trajectories, cfg.master_seed,
-                                    worker_count=cfg.worker_count)
-    q = np.array(results) / cell.kT
+    q = cap_mod.erase_ensemble(u0, o["duration_tau"] * cell.tau, cell, o["dt_tau"] * cell.tau,
+                               cfg.n_trajectories, cfg.master_seed,
+                               worker_count=cfg.worker_count) / cell.kT
     theory = cap_mod.erase_dissipation_theory(u0, cell) / cell.kT
     columns = ["u0_sigma", "duration_tau", "n", "mean_Q_env_kT", "se_Q_env_kT",
                "theory_Q_env_kT"]
@@ -433,7 +419,7 @@ def _run_verify(args, file_cfg, output_dir):
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
+        print(f"{r.name:<{width}}  {status}  {r.elapsed:6.1f}s  {r.detail}")
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return 0 if n_fail == 0 else 1

@@ -1,9 +1,9 @@
-"""Deterministic parallel execution of per-trajectory Monte Carlo tasks.
+"""Deterministic parallel execution of Monte Carlo tasks.
 
-Each trajectory gets the stream derived from (master_seed,
-stream_offset + trajectory index).  Because every stream is a pure
-function of its key, the merged result list depends only on the seed
-and the task, never on the worker count or completion order.
+Each task (one trajectory, or a block of them) gets the stream derived
+from (master_seed, stream_offset + task index).  Because every stream
+is a pure function of its key, the merged result list depends only on
+the seed and the task, never on the worker count or completion order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -14,10 +14,10 @@ __all__ = ["EnsembleWorkerError", "run_parallel_ensemble"]
 
 
 class EnsembleWorkerError(RuntimeError):
-    """A trajectory task failed; carries the offending stream index."""
+    """A task failed; carries the offending stream index."""
 
     def __init__(self, stream_index, cause):
-        super().__init__(f"trajectory task failed at stream_index={stream_index}: {cause}")
+        super().__init__(f"task failed at stream_index={stream_index}: {cause}")
         self.stream_index = stream_index
         self.cause_text = str(cause)
 

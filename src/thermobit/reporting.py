@@ -11,11 +11,9 @@ checked byte-for-byte.
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
 
 __all__ = [
     "ConfigError",
-    "RunManifest",
     "parse_config_file",
     "format_value",
     "write_csv",
@@ -48,7 +46,7 @@ def parse_config_file(path):
 def format_value(x):
     """Shortest decimal form that round-trips the value."""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -70,33 +68,14 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Resolved configuration plus checksums of every output file."""
-
-    config: dict
-    tool_version: str = TOOL_VERSION
-    timestamp: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-    checksums: dict = field(default_factory=dict)
-
-    def add_output(self, path):
-        self.checksums[str(path)] = sha256_file(path)
-
-    def write(self, path):
-        payload = {
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-            "config": self.config,
-            "checksums": self.checksums,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def write_manifest(path, config, output_paths):
-    manifest = RunManifest(config=dict(config))
-    for out in output_paths:
-        manifest.add_output(out)
-    manifest.write(path)
-    return manifest
+    """Write the resolved configuration plus a sha256 of every output file."""
+    payload = {
+        "tool_version": TOOL_VERSION,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "config": dict(config),
+        "checksums": {str(out): sha256_file(out) for out in output_paths},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

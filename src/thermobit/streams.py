@@ -1,9 +1,9 @@
 """Reproducible parallel random-number streams.
 
-Every Monte Carlo trajectory in this package owns one counter-based
-stream, keyed by (master_seed, stream_index).  The same key always
-reproduces the same sequence, no matter how many other streams exist or
-which worker consumes it, so ensemble results can be merged in
+Every Monte Carlo task owns one counter-based stream, keyed by
+(master_seed, stream_index); a capacitor task is a block of up to
+capacitor.BLOCK trajectories.  The same key always reproduces the same
+sequence, whichever worker consumes it, so results merge in
 stream-index order and stay byte-identical across worker counts.
 
 Streams are backed by numpy's Philox counter-based bit generator with
@@ -21,11 +21,11 @@ _UINT64_MASK = (1 << 64) - 1
 
 @dataclass
 class RngStream:
-    """A dedicated random stream for one trajectory.
+    """A dedicated random stream for one task (a block of trajectories or one).
 
     The output sequence is a pure function of (master_seed, stream_index,
     draw count).  A stream must be owned by a single consumer at a time;
-    it is cheap to construct, so never share one across trajectories.
+    it is cheap to construct, so never share one across tasks.
     """
 
     master_seed: int
@@ -51,5 +51,5 @@ class RngStream:
 
 
 def make_stream(master_seed, index):
-    """Derive the stream for trajectory `index` under `master_seed`."""
+    """Derive the stream for task `index` under `master_seed`."""
     return RngStream(int(master_seed), int(index))

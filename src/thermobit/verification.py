@@ -12,7 +12,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -20,9 +19,9 @@ from . import cli
 from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy)
 from .capacitor import (ErasureExperimentConfig, erase, erase_dissipation_theory,
-                        partial_erase_error_prob, run_erasure_experiment, write_bit)
+                        erase_ensemble, partial_erase_error_prob, run_erasure_experiment,
+                        write_bit, write_ensemble)
 from .doublewell import DoubleWellParams, measure_escape_time, relax_ensemble
-from .ensemble import run_parallel_ensemble
 from .infotheory import bit_information, memory_entropy
 from .ou import CellParams, ou_sample_stationary, ou_step
 from .streams import make_stream
@@ -36,15 +35,6 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed: float = 0.0
-
-
-def _erase_heat_task(stream, cell, v0, duration, dt):
-    return erase(v0, duration, cell, dt, stream).bath_heat
-
-
-def _write_record_task(stream, cell, bit, u0, dt):
-    wr = write_bit(bit, u0, cell, dt, stream)
-    return wr.bath_heat, wr.control_cost_lower_bound, wr.n_samples
 
 
 def check_equipartition(master_seed):
@@ -66,9 +56,8 @@ def check_erase_dissipation(master_seed):
     n = 100_000
     details, ok = [], True
     for k, u0 in enumerate((0.5, 1.0, 2.0)):
-        task = partial(_erase_heat_task, cell=cell, v0=u0,
-                       duration=20.0 * cell.tau, dt=0.01 * cell.tau)
-        q = np.array(run_parallel_ensemble(task, n, master_seed, stream_offset=k * n))
+        q = erase_ensemble(u0, 20.0 * cell.tau, cell, 0.01 * cell.tau, n, master_seed,
+                           stream_offset=k * n)
         theory = erase_dissipation_theory(u0, cell)
         se = q.std(ddof=1) / math.sqrt(n)
         dev = abs(q.mean() - theory)
@@ -82,10 +71,7 @@ def check_write_positivity(master_seed):
     cell = CellParams.reduced()
     n = 100_000
     u0 = 0.5
-    task = partial(_write_record_task, cell=cell, bit=1, u0=u0, dt=0.01 * cell.tau)
-    res = run_parallel_ensemble(task, n, master_seed)
-    q = np.array([r[0] for r in res])
-    control = np.array([r[1] for r in res])
+    q, _, control = write_ensemble(1, u0, cell, 0.01 * cell.tau, n, master_seed)
     theory = 0.5 * (cell.kT - cell.capacitance * u0 * u0)
     se = q.std(ddof=1) / math.sqrt(n)
     dev = abs(q.mean() - theory)

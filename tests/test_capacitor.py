@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, erase,
-                                 erase_dissipation_theory, partial_erase_error_prob,
-                                 read_bit, run_erasure_experiment, write_bit)
+from thermobit.capacitor import (BLOCK, ErasureExperimentConfig, WriteTimeoutError,
+                                 _erase_rows, _first_passage, erase, erase_dissipation_theory,
+                                 erase_ensemble, partial_erase_error_prob, read_bit,
+                                 run_erasure_experiment, write_bit, write_ensemble)
 from thermobit.ou import CellParams
 from thermobit.streams import make_stream
 
@@ -142,6 +143,8 @@ class TestErase:
         with pytest.raises(ValueError):
             erase(0.5, -1.0, CELL, 0.01, rng)
         with pytest.raises(ValueError):
+            erase(0.5, math.inf, CELL, 0.01, rng)
+        with pytest.raises(ValueError):
             erase(float("nan"), 1.0, CELL, 0.01, rng)
         with pytest.raises(ValueError):
             erase(0.5, 1.0, CELL, 0.0, rng)
@@ -212,3 +215,93 @@ class TestErasureExperiment:
         with pytest.raises(ValueError):
             ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0,),
                                     n_trajectories=0, master_seed=0)
+        with pytest.raises(ValueError):
+            ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(float("nan"),),
+                                    n_trajectories=10, master_seed=0)
+
+
+class RecordingStream:
+    """Passes draws through from a real stream and keeps each array drawn."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.draws = []
+
+    def standard_normal(self, size=None):
+        z = self.stream.standard_normal(size)
+        self.draws.append(z)
+        return z
+
+
+def loop_first_passage(v, target, draws, mu, s):
+    """Plain-Python walk v <- mu*v + s*z over the recorded rounds of draws."""
+    steps = [0] * len(v)
+    state = list(v)
+    active = [i for i in range(len(v)) if (v[i] - target[i]) * (0.0 - target[i]) > 0.0]
+    for z in draws:
+        assert z.shape[0] == len(active)
+        still = []
+        for row, i in zip(z, active):
+            side = 1.0 if v[i] > target[i] else -1.0
+            for zk in row:
+                state[i] = mu * state[i] + s * zk
+                steps[i] += 1
+                if (state[i] - target[i]) * side <= 0.0:
+                    break
+            else:
+                still.append(i)
+        active = still
+    assert not active
+    return steps
+
+
+class TestBlockKernels:
+    def test_first_passage_matches_scalar_loop(self):
+        stream = make_stream(30, 0)
+        n, dt = 64, 0.01
+        target = np.where(stream.integers(0, 2, size=n) == 1, 1.5, -1.5)
+        v = 1.2 * stream.standard_normal(n)
+        v[:3] = target[:3]  # rows starting on the target take no steps
+        rec = RecordingStream(stream)
+        got = _first_passage(v, target, CELL, dt, rec, max_duration=math.inf)
+        mu = math.exp(-dt / CELL.tau)
+        s = CELL.sigma_st * math.sqrt(1.0 - mu * mu)
+        assert len(rec.draws) > 1  # several rounds, with rows dropping out
+        assert got.tolist() == loop_first_passage(v, target, rec.draws, mu, s)
+        assert got[:3].tolist() == [0, 0, 0]
+
+    def test_landing_on_the_target_is_a_crossing(self):
+        class OnesStream:
+            def standard_normal(self, size=None):
+                return np.ones(size)
+
+        mu = math.exp(-0.01 / CELL.tau)
+        s = CELL.sigma_st * math.sqrt(1.0 - mu * mu)
+        # From 0, a unit draw lands exactly on the target s after one step.
+        got = _first_passage(np.array([0.0]), np.array([s]), CELL, 0.01, OnesStream(),
+                             max_duration=math.inf)
+        assert got.tolist() == [1]
+
+    def test_one_draw_erase_moments_at_one_tau(self):
+        n = 100_000
+        v_final, t = _erase_rows(np.ones(n), CELL.tau, CELL, 0.01, make_stream(31, 0))
+        assert t == pytest.approx(CELL.tau, rel=1e-12)
+        mean, var = math.exp(-1.0), 1.0 - math.exp(-2.0)
+        assert abs(v_final.mean() - mean) < 4.0 * math.sqrt(var / n)
+        assert abs(v_final.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))
+
+    def test_partial_last_block(self):
+        n = BLOCK + 1
+        for arrays in (write_ensemble(1, 0.5, CELL, 0.01, n, 32),
+                       [erase_ensemble(0.5, 1.0, CELL, 0.01, n, 32)]):
+            assert all(a.shape == (n,) for a in arrays)
+        cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0,),
+                                      n_trajectories=n, master_seed=32)
+        (rep,) = run_erasure_experiment(cfg)
+        assert rep.channel.trials == n
+
+    def test_equal_durations_use_distinct_streams(self):
+        cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0, 1.0),
+                                      n_trajectories=300, master_seed=33)
+        first, second = run_erasure_experiment(cfg)
+        assert first.mean_Q_env != second.mean_Q_env

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from thermobit import cli, verification
+from thermobit.capacitor import BLOCK
+
 BASE = [sys.executable, "-m", "thermobit.cli"]
 
 
@@ -40,6 +43,17 @@ class TestExitCodes:
                         "--n", "10", "--output-dir", str(tmp_path)])
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["capacitor", "erase", "--master-seed", "-1"],
+        ["capacitor", "write", "--u0-sigma", "0"],
+        ["capacitor", "mi-curve", "--durations-tau", "nan"],
+    ])
+    def test_bad_capacitor_input_is_config_error(self, tmp_path, argv):
+        proc = run_cli(argv + ["--n", "10", "--output-dir", str(tmp_path)])
+        assert proc.returncode == 3
+        assert "config error" in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_successful_run_is_zero(self, tmp_path):
         proc = run_cli(["info", "eval", "--p-e", "0.11",
                         "--output-dir", str(tmp_path)])
@@ -73,6 +87,14 @@ class TestOutputs:
         assert proc.returncode == 0
         header = (tmp_path / "doublewell_relax.csv").read_text().splitlines()[0]
         assert header == "t,p1,se_p1,mean_U,se_U"
+
+    def test_doublewell_csv_fields_are_plain_floats(self, tmp_path):
+        proc = run_cli(["doublewell", "relax", "--n", "100", "--t-total", "0.5",
+                        "--output-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        for line in (tmp_path / "doublewell_relax.csv").read_text().splitlines()[1:]:
+            for field in line.split(","):
+                float(field)
 
     def test_empty_duration_grid_yields_header_only_csv(self, tmp_path):
         proc = run_cli(["capacitor", "mi-curve", "--durations-tau", "",
@@ -150,3 +172,28 @@ class TestDeterminism:
         run_cli(["capacitor", "mi-curve", "--durations-tau", "0,0.5,1",
                  "--n", "400", "--workers", "1", "--output-dir", str(ref_dir)])
         assert digest == (ref_dir / "capacitor_mi_curve.csv").read_bytes()
+
+
+class TestBlocks:
+    def test_partial_block_bytes_stable_across_workers(self, tmp_path):
+        blobs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            proc = run_cli(["capacitor", "write", "--n", str(BLOCK + 1), "--workers", workers,
+                            "--output-dir", str(out)])
+            assert proc.returncode == 0
+            assert json.loads(proc.stdout)["config"]["n_trajectories"] == BLOCK + 1
+            blobs.append((out / "capacitor_write.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+class TestVerify:
+    def test_prints_elapsed_per_criterion(self, monkeypatch, capsys):
+        fake = [verification.CriterionResult("1 fake", True, "ok", elapsed=1.5),
+                verification.CriterionResult("2 fake", False, "bad", elapsed=12.5)]
+        monkeypatch.setattr(verification, "run_all", lambda master_seed: fake)
+        assert cli.main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "1.5s" in lines[0] and "PASS" in lines[0]
+        assert "12.5s" in lines[1] and "FAIL" in lines[1]
+        assert lines[2] == "1/2 criteria passed"
