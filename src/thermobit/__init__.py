@@ -15,14 +15,12 @@ from .capacitor import (EraseRecord, ErasureExperimentConfig, ErasureReport,
                         erase_dissipation_theory, partial_erase_error_prob,
                         read_bit, run_erasure_experiment, write_bit)
 from .doublewell import (DoubleWellParams, EscapeInfeasibleError, RelaxationSeries,
-                         em_step, heated_erase, measure_escape_time, relax_ensemble,
-                         sample_well)
+                         heated_erase, measure_escape_time, relax_ensemble, sample_well)
 from .ensemble import EnsembleWorkerError, run_parallel_ensemble
 from .infotheory import (BitChannelStats, InformationContent, bit_information,
                          estimate_error_prob, memory_entropy, nats_to_bits,
                          remaining_information, wilson_interval)
-from .ou import (BOLTZMANN, CellParams, Trajectory, ou_sample_stationary, ou_step,
-                 simulate_ou_path)
+from .ou import BOLTZMANN, CellParams, ou_sample_stationary, ou_step
 from .streams import RngStream, make_stream
 
 __version__ = "0.1.0"

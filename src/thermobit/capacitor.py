@@ -311,7 +311,8 @@ def _erasure_block(stream, rows, u0, duration, p, dt):
     return bits, (v_final >= 0.0).astype(bits.dtype), _bath_heat(p.capacitance, target, v_final)
 
 
-def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *, worker_count=1):
+def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
+                   worker_count=1, stream_offset=0):
     """Write `bit` on n independent cells (see write_bit).
 
     Returns arrays (bath_heat, steps, control_cost_lower_bound); a
@@ -319,7 +320,8 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *, worker_count=1
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return _run_blocks(_write_block, n, master_seed, worker_count, bit=bit, u0=u0, p=p, dt=dt)
+    return _run_blocks(_write_block, n, master_seed, worker_count, stream_offset,
+                       bit=bit, u0=u0, p=p, dt=dt)
 
 
 def erase_ensemble(v0, duration, p: CellParams, dt, n, master_seed, *,

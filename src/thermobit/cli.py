@@ -57,8 +57,6 @@ class ExperimentConfig:
             raise ConfigError("worker_count must be >= 1")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
-        if not 0.0 < self.options.get("dt_tau", 1.0) < math.inf:
-            raise ConfigError("dt_tau must be positive and finite")
         # An erase may start from v = 0; a write needs a non-zero target.
         u0 = self.options.get("u0_sigma", 1.0)
         if not (0.0 <= u0 < math.inf and (u0 > 0.0 or self.subcommand == "capacitor_erase")):
@@ -68,6 +66,15 @@ class ExperimentConfig:
             raise ConfigError("durations must be finite and non-negative")
         if grid != sorted(grid):
             raise ConfigError("duration grid must be sorted ascending")
+        for key in ("dt_tau", "barrier_kt", "t_total", "max_time", "dt"):
+            value = self.options.get(key)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+        if self.options.get("side", 1) not in (0, 1):
+            raise ConfigError(f"side must be 0 or 1, got {self.options['side']!r}")
+        t_hot = self.options.get("t_hot", 1.0)
+        if not 1.0 <= t_hot < math.inf:
+            raise ConfigError(f"t_hot must be finite and >= 1 (the ambient), got {t_hot!r}")
 
     def as_dict(self):
         out = {
@@ -237,7 +244,8 @@ def _run_doublewell_relax(cfg, _cell=None):
     o = cfg.options
     params = _dw_params(o)
     series = dw_mod.relax_ensemble(params, o["side"], o["t_total"], _dw_dt(params, o),
-                                   cfg.n_trajectories, cfg.master_seed)
+                                   cfg.n_trajectories, cfg.master_seed,
+                                   worker_count=cfg.worker_count)
     summary = {"terminal_p1": float(series.p1[-1]),
                "mean_U_drift": float(series.mean_U[-1] - series.mean_U[0])}
     return "doublewell_relax", _DW_COLUMNS, _series_rows(series), summary
@@ -248,7 +256,7 @@ def _run_doublewell_heated(cfg, _cell=None):
     params = _dw_params(o)
     series, mean_du, se_du = dw_mod.heated_erase(
         params, o["t_hot"], o["t_total"], _dw_dt(params, o),
-        cfg.n_trajectories, cfg.master_seed, side=o["side"])
+        cfg.n_trajectories, cfg.master_seed, side=o["side"], worker_count=cfg.worker_count)
     summary = {"terminal_p1": float(series.p1[-1]),
                "mean_absorbed_kT": mean_du, "se_absorbed_kT": se_du}
     return "doublewell_heated", _DW_COLUMNS, _series_rows(series), summary
@@ -259,7 +267,8 @@ def _run_doublewell_escape(cfg, _cell=None):
     params = _dw_params(o)
     mean_t, se_t = dw_mod.measure_escape_time(params, cfg.n_trajectories,
                                               _dw_dt(params, o), cfg.master_seed,
-                                              max_time=o["max_time"])
+                                              max_time=o["max_time"],
+                                              worker_count=cfg.worker_count)
     columns = ["barrier_kT", "n", "mean_escape_time", "se_escape_time"]
     row = [o["barrier_kt"], cfg.n_trajectories, mean_t, se_t]
     return "doublewell_escape", columns, [row], {"mean_escape_time": mean_t,

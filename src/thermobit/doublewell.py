@@ -8,34 +8,43 @@ timescale, destroying the stored information while the mean potential
 energy stays constant: erasure by pure thermalization, with no mean
 energy dissipation.  Heating the cell speeds this up at the price of
 absorbed energy.
+
+Ensembles run in blocks of BLOCK trajectories; block k draws from the
+stream make_stream(master_seed, k) whatever the worker count, so the
+results are byte-identical for any number of workers.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .ensemble import run_parallel_ensemble
 from .ou import BOLTZMANN
-from .streams import make_stream
 
 __all__ = [
     "DoubleWellParams",
     "RelaxationSeries",
     "EscapeInfeasibleError",
-    "em_step",
     "sample_well",
     "relax_ensemble",
     "heated_erase",
     "measure_escape_time",
+    "BLOCK",
 ]
 
 # Euler-Maruyama stability headroom: a tenth of the inverse curvature
 # scale at the minima, where U'' = 8*E/x0^2.
 _STABILITY_FRACTION = 0.1
 
-_RNG_BLOCK = 512
+# Trajectories per ensemble task.  An EM step is a few numpy calls for the
+# whole block, so their per-call overhead shrinks as rows per call grow.
+BLOCK = 2048
+
+# EM steps per noise draw; a round's noise is a (_ROUND, rows) array.
+_ROUND = 512
 
 
 class EscapeInfeasibleError(RuntimeError):
@@ -116,16 +125,6 @@ def _check_dt(p, dt):
             f"dt={dt!r} exceeds the Euler-Maruyama stability bound {p.max_stable_dt!r}")
 
 
-def em_step(x, dt, p: DoubleWellParams, rng, temperature=None):
-    """One Euler-Maruyama step of the overdamped Langevin dynamics."""
-    _check_dt(p, dt)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state must be finite")
-    kT = p.boltzmann * (temperature if temperature is not None else p.temperature)
-    amp = math.sqrt(2.0 * kT * dt / p.damping)
-    return x - p.potential_grad(x) / p.damping * dt + amp * rng.standard_normal(np.shape(x) or None)
-
-
 @lru_cache(maxsize=32)
 def _boltzmann_grid(p: DoubleWellParams, temperature):
     """Inverse-CDF table of the global Boltzmann law on a symmetric grid."""
@@ -139,6 +138,22 @@ def _boltzmann_grid(p: DoubleWellParams, temperature):
     return x, cdf
 
 
+def _sample_rows(p: DoubleWellParams, side, rng, rows, temperature=None):
+    """`rows` equilibrium samples conditioned on one well (see sample_well)."""
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, got {side!r}")
+    temperature = temperature if temperature is not None else p.temperature
+    grid_x, grid_cdf = _boltzmann_grid(p, temperature)
+    out = np.empty(rows)
+    filled = 0
+    while filled < rows:
+        x = np.interp(rng.uniform(2 * (rows - filled)), grid_cdf, grid_x)
+        x = (x[x >= 0.0] if side == 1 else x[x < 0.0])[:rows - filled]
+        out[filled:filled + x.size] = x
+        filled += x.size
+    return out
+
+
 def sample_well(p: DoubleWellParams, side, rng, temperature=None):
     """Equilibrium sample conditioned on residing in one well.
 
@@ -147,96 +162,127 @@ def sample_well(p: DoubleWellParams, side, rng, temperature=None):
     1, matching the read-out tie-break).  The accepted law is exactly
     the restriction of the global equilibrium to the chosen side.
     """
-    if side not in (0, 1):
-        raise ValueError(f"side must be 0 or 1, got {side!r}")
-    temperature = temperature if temperature is not None else p.temperature
-    grid_x, grid_cdf = _boltzmann_grid(p, temperature)
-    while True:
-        x = float(np.interp(rng.uniform(), grid_cdf, grid_x))
-        if (x >= 0.0) == (side == 1):
-            return x
+    return float(_sample_rows(p, side, rng, 1, temperature)[0])
 
 
-def _draw_block(streams, active, width):
-    z = np.empty((len(active), width))
-    for row, idx in enumerate(active):
-        z[row] = streams[idx].standard_normal(width)
-    return z
+def _em_round(x, width, p: DoubleWellParams, dt, temperature, rng):
+    """Walk every entry of x through `width` Euler-Maruyama steps; return the path.
+
+    Row k of the (width, rows) result is the state after step k + 1.  The
+    round's noise is one standard_normal((width, rows)) draw, so each
+    step's noise is contiguous.  Each step x <- x - U'(x)*dt/gamma + amp*z,
+    computed as x*(1 + k1 - k1*x^2/x0^2) + amp*z with
+    k1 = 4*E*dt/(gamma*x0^2), overwrites its noise row in place.
+    """
+    k1 = 4.0 * p.barrier_height * dt / (p.damping * p.well_position ** 2)
+    k3 = -k1 / p.well_position ** 2
+    path = rng.standard_normal((width, x.size))
+    path *= math.sqrt(2.0 * p.boltzmann * temperature * dt / p.damping)
+    factor = np.empty(x.size)
+    for row in path:
+        np.multiply(x, x, out=factor)
+        factor *= k3
+        factor += 1.0 + k1
+        factor *= x
+        row += factor
+        x = row
+    return path
 
 
-def _relax_engine(p, side, t_total, dt, n_traj, seed, evolve_temperature):
-    _check_dt(p, dt)
-    if n_traj < 100:
-        raise ValueError("n_traj must be >= 100")
-    if not t_total > 0:
-        raise ValueError("t_total must be positive")
+def _relax_block(stream, rows, p, side, dt, temperature, record):
+    """States at step 0 and at each step of `record`, as a (1 + len(record), rows) array.
 
-    streams = [make_stream(seed, i) for i in range(n_traj)]
-    x = np.array([sample_well(p, side, st) for st in streams])
-    u_init = p.potential(x)
-
-    n_steps = math.ceil(t_total / dt)
-    record_steps = _log_step_grid(n_steps)
-
-    times = [0.0]
-    p1 = [float(np.mean(x >= 0.0))]
-    mean_u = [float(u_init.mean())]
-    se_u = [float(u_init.std(ddof=1) / math.sqrt(n_traj))]
-
-    kT = p.boltzmann * evolve_temperature
-    amp = math.sqrt(2.0 * kT * dt / p.damping)
-    inv_gamma_dt = dt / p.damping
-    record = set(record_steps)
-    all_idx = list(range(n_traj))
-
-    step = 0
+    Rows start from the ambient conditional equilibrium of `side` and
+    evolve at `temperature` up to step record[-1].
+    """
+    x = _sample_rows(p, side, stream, rows)
+    states = [x[None]]
+    step, n_steps = 0, int(record[-1])
     while step < n_steps:
-        width = min(_RNG_BLOCK, n_steps - step)
-        z = _draw_block(streams, all_idx, width)
-        for k in range(width):
-            x += -p.potential_grad(x) * inv_gamma_dt + amp * z[:, k]
-            step += 1
-            if step in record:
-                u = p.potential(x)
-                times.append(step * dt)
-                p1.append(float(np.mean(x >= 0.0)))
-                mean_u.append(float(u.mean()))
-                se_u.append(float(u.std(ddof=1) / math.sqrt(n_traj)))
+        width = min(_ROUND, n_steps - step)
+        path = _em_round(x, width, p, dt, temperature, stream)
+        states.append(path[record[(record > step) & (record <= step + width)] - step - 1])
+        x = path[-1]
+        step += width
+    return np.concatenate(states)
 
-    p1 = np.array(p1)
-    se_p1 = np.sqrt(p1 * (1.0 - p1) / n_traj)
-    series = RelaxationSeries(times=np.array(times), p1=p1, se_p1=se_p1,
-                              mean_U=np.array(mean_u), se_U=np.array(se_u))
-    return series, u_init, p.potential(x)
+
+def _escape_block(stream, rows, p, dt, max_steps):
+    """Step of each row's first sample at x <= 0 from +x0; -1 if none within max_steps.
+
+    Rows that have crossed drop out at the end of each round.
+    """
+    steps = np.full(rows, -1, dtype=np.int64)
+    active = np.arange(rows)
+    x = np.full(rows, p.well_position)
+    walked = 0
+    while active.size and walked < max_steps:
+        width = min(_ROUND, max_steps - walked)
+        path = _em_round(x, width, p, dt, p.temperature, stream)
+        crossed = path <= 0.0
+        hit = crossed.any(axis=0)
+        steps[active[hit]] = walked + crossed[:, hit].argmax(axis=0) + 1
+        walked += width
+        active, x = active[~hit], path[-1, ~hit]
+    return steps
+
+
+def _sized_block(stream, task, n):
+    return task(stream, min(BLOCK, n - stream.stream_index * BLOCK))
+
+
+def _run_blocks(task, n, seed, worker_count):
+    """Results of task(stream, rows) on ceil(n/BLOCK) blocks, in block order.
+
+    Block k runs on make_stream(seed, k) and holds BLOCK rows, except the
+    last, which holds the rest.
+    """
+    return run_parallel_ensemble(partial(_sized_block, task=task, n=n), -(-n // BLOCK),
+                                 seed, worker_count=worker_count)
 
 
 def _log_step_grid(n_steps, per_decade=20):
-    """Step indices spaced ~20 per decade from step 1 to n_steps."""
-    if n_steps < 1:
-        return []
-    decades = math.log10(max(n_steps, 1)) if n_steps > 1 else 0.0
-    count = max(1, int(round(decades * per_decade)) + 1)
-    raw = np.unique(np.round(np.logspace(0.0, math.log10(n_steps), count)).astype(int))
-    raw = raw[(raw >= 1) & (raw <= n_steps)]
-    if raw.size == 0 or raw[-1] != n_steps:
-        raw = np.append(raw, n_steps)
-    return list(np.unique(raw))
+    """Step indices spaced ~20 per decade from step 1 to n_steps (>= 1)."""
+    count = int(round(math.log10(n_steps) * per_decade)) + 1
+    raw = np.round(np.logspace(0.0, math.log10(n_steps), count)).astype(np.int64)
+    return np.unique(np.append(raw, n_steps))
 
 
-def relax_ensemble(p: DoubleWellParams, side, t_total, dt, n_traj, seed):
+def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
+    """Series of an ensemble relaxing at `temperature`, and each trajectory's U change."""
+    _check_dt(p, dt)
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, got {side!r}")
+    if n_traj < 100:
+        raise ValueError("n_traj must be >= 100")
+    if not 0.0 < t_total < math.inf:
+        raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
+
+    record = _log_step_grid(math.ceil(t_total / dt))
+    task = partial(_relax_block, p=p, side=side, dt=dt, temperature=temperature, record=record)
+    x = np.concatenate(_run_blocks(task, n_traj, seed, worker_count), axis=1)
+    u = p.potential(x)
+    p1 = np.mean(x >= 0.0, axis=1)
+    series = RelaxationSeries(times=np.append(0.0, record * dt), p1=p1,
+                              se_p1=np.sqrt(p1 * (1.0 - p1) / n_traj),
+                              mean_U=u.mean(axis=1),
+                              se_U=u.std(axis=1, ddof=1) / math.sqrt(n_traj))
+    return series, u[-1] - u[0]
+
+
+def relax_ensemble(p: DoubleWellParams, side, t_total, dt, n_traj, seed, *, worker_count=1):
     """Free thermalization of an ensemble written to one side.
 
     All trajectories start from the conditional-equilibrium law of the
     chosen well and relax at ambient temperature; p1 and mean potential
     energy are recorded on a logarithmic time grid.
     """
-    if side not in (0, 1):
-        raise ValueError(f"side must be 0 or 1, got {side!r}")
-    series, _, _ = _relax_engine(p, side, t_total, dt, n_traj, seed, p.temperature)
+    series, _ = _relax(p, side, t_total, dt, n_traj, seed, p.temperature, worker_count)
     return series
 
 
-def heated_erase(p: DoubleWellParams, T_hot, t_total, dt, n_traj, seed, side=1):
+def heated_erase(p: DoubleWellParams, T_hot, t_total, dt, n_traj, seed, side=1, *,
+                 worker_count=1):
     """Erase by heating: evolve at T_hot from an ambient-equilibrated well.
 
     Returns (series, mean_dU, se_dU) where dU is the per-trajectory
@@ -244,63 +290,38 @@ def heated_erase(p: DoubleWellParams, T_hot, t_total, dt, n_traj, seed, side=1):
     positive for T_hot > T.  T_hot == T reduces exactly to
     relax_ensemble with the same seed.
     """
-    if T_hot < p.temperature:
-        raise ValueError("T_hot must be >= the ambient temperature")
-    series, u_init, u_final = _relax_engine(p, side, t_total, dt, n_traj, seed, T_hot)
-    du = u_final - u_init
+    if not p.temperature <= T_hot < math.inf:
+        raise ValueError(f"T_hot must be finite and >= the ambient temperature, got {T_hot!r}")
+    series, du = _relax(p, side, t_total, dt, n_traj, seed, T_hot, worker_count)
     return series, float(du.mean()), float(du.std(ddof=1) / math.sqrt(len(du)))
 
 
-def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, max_time=1e4):
+def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, max_time=1e4, *,
+                        worker_count=1):
     """Mean first time a trajectory started at +x0 crosses x = 0.
 
     Raises EscapeInfeasibleError up front when the Kramers estimate of
     the escape time says the run cannot finish within `max_time`
     simulated seconds per trajectory (the passive-erasure timescale is
-    exponential in E/kT, so high barriers are out of desk-scale reach).
+    exponential in E/kT, so high barriers are out of desk-scale reach),
+    and after the run when some trajectory did not escape within it.
     """
     _check_dt(p, dt)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if not 0.0 < max_time < math.inf:
+        raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
     estimate = p.kramers_time_estimate()
     if 20.0 * estimate > max_time:
         raise EscapeInfeasibleError(
             f"Kramers estimate {estimate:.3g} s needs > max_time={max_time:.3g} s "
             f"(barrier is {p.barrier_height / p.kT:.2f} kT)")
 
-    streams = [make_stream(seed, i) for i in range(n_traj)]
-    x = np.full(n_traj, p.well_position)
-    escape_step = np.zeros(n_traj, dtype=np.int64)
-    active = list(range(n_traj))
-
-    amp = math.sqrt(2.0 * p.kT * dt / p.damping)
-    inv_gamma_dt = dt / p.damping
-    max_steps = math.ceil(max_time / dt)
-
-    step = 0
-    xa = x[active]
-    while active:
-        if step >= max_steps:
-            raise EscapeInfeasibleError(
-                f"{len(active)} of {n_traj} trajectories did not escape within "
-                f"max_time={max_time:.3g} s")
-        width = _RNG_BLOCK
-        z = _draw_block(streams, active, width)
-        done_rows = np.zeros(len(active), dtype=bool)
-        for k in range(width):
-            live = ~done_rows
-            xa[live] += -p.potential_grad(xa[live]) * inv_gamma_dt + amp * z[live, k]
-            step += 1
-            crossed = live & (xa <= 0.0)
-            if crossed.any():
-                rows = np.nonzero(crossed)[0]
-                for r in rows:
-                    escape_step[active[r]] = step
-                done_rows[rows] = True
-        if done_rows.any():
-            keep = ~done_rows
-            active = [idx for idx, k_ in zip(active, keep) if k_]
-            xa = xa[keep]
-
-    t = escape_step * dt
+    task = partial(_escape_block, p=p, dt=dt, max_steps=math.ceil(max_time / dt))
+    steps = np.concatenate(_run_blocks(task, n_traj, seed, worker_count))
+    stuck = np.count_nonzero(steps < 0)
+    if stuck:
+        raise EscapeInfeasibleError(f"{stuck} of {n_traj} trajectories did not escape within "
+                                    f"max_time={max_time:.3g} s")
+    t = steps * dt
     return float(t.mean()), float(t.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0

@@ -18,10 +18,8 @@ from .streams import RngStream
 __all__ = [
     "BOLTZMANN",
     "CellParams",
-    "Trajectory",
     "ou_step",
     "ou_sample_stationary",
-    "simulate_ou_path",
 ]
 
 # SI defining value of the Boltzmann constant, J/K.
@@ -69,23 +67,6 @@ class CellParams:
         return math.sqrt(self.kT / self.capacitance)
 
 
-@dataclass
-class Trajectory:
-    """A realization of the stored-state variable on a time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-    stream_index: int
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape or self.times.size < 1:
-            raise ValueError("times and values must be equally sized and non-empty")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-
 def _check_step_args(v, dt):
     if not np.all(np.isfinite(v)):
         raise ValueError("state must be finite")
@@ -109,22 +90,3 @@ def ou_step(v, dt, p: CellParams, rng: RngStream):
 def ou_sample_stationary(p: CellParams, rng: RngStream, size=None):
     """Draw from the stationary law N(0, kT/C)."""
     return p.sigma_st * rng.standard_normal(size)
-
-
-def simulate_ou_path(v0, t_total, dt, p: CellParams, rng: RngStream, stream_index=0):
-    """Simulate a voltage path of ceil(t_total/dt)+1 points starting at v0."""
-    _check_step_args(v0, dt)
-    if not (np.isfinite(t_total) and t_total > 0):
-        raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
-    n_steps = math.ceil(t_total / dt)
-    values = np.empty(n_steps + 1)
-    values[0] = v0
-    mu = math.exp(-dt / p.tau)
-    s = p.sigma_st * math.sqrt(1.0 - mu * mu)
-    z = rng.standard_normal(n_steps)
-    v = float(v0)
-    for k in range(n_steps):
-        v = v * mu + s * z[k]
-        values[k + 1] = v
-    times = dt * np.arange(n_steps + 1)
-    return Trajectory(times=times, values=values, stream_index=stream_index)

@@ -1,8 +1,8 @@
 """Reproducible parallel random-number streams.
 
 Every Monte Carlo task owns one counter-based stream, keyed by
-(master_seed, stream_index); a capacitor task is a block of up to
-capacitor.BLOCK trajectories.  The same key always reproduces the same
+(master_seed, stream_index); a task is a block of up to capacitor.BLOCK
+or doublewell.BLOCK trajectories.  The same key always reproduces the same
 sequence, whichever worker consumes it, so results merge in
 stream-index order and stay byte-identical across worker counts.
 

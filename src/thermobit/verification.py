@@ -22,7 +22,7 @@ from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
 from .capacitor import (ErasureExperimentConfig, erase, erase_dissipation_theory,
                         erase_ensemble, partial_erase_error_prob, run_erasure_experiment,
                         write_bit, write_ensemble)
-from .doublewell import DoubleWellParams, measure_escape_time, relax_ensemble
+from .doublewell import BLOCK, DoubleWellParams, measure_escape_time, relax_ensemble
 from .infotheory import bit_information, memory_entropy
 from .ou import CellParams, ou_sample_stationary, ou_step
 from .streams import make_stream
@@ -72,7 +72,10 @@ def check_write_positivity(master_seed):
     cell = CellParams.reduced()
     n = 100_000
     u0 = 0.5
-    q, _, control = write_ensemble(1, u0, cell, 0.01 * cell.tau, n, master_seed)
+    # Blocks from 3 * n, after criterion 2's (0, n, 2n): at offset 0 the
+    # stationary start takes the normals of criterion 2's u0 = 0.5 erase.
+    q, _, control = write_ensemble(1, u0, cell, 0.01 * cell.tau, n, master_seed,
+                                   stream_offset=3 * n)
     theory = 0.5 * (cell.kT - cell.capacitance * u0 * u0)
     se = q.std(ddof=1) / math.sqrt(n)
     dev = abs(q.mean() - theory)
@@ -203,9 +206,10 @@ _DETERMINISM_RUNS = [
     ["capacitor", "write", "--n", "300"],
     ["capacitor", "erase", "--n", "300", "--duration-tau", "5"],
     ["capacitor", "mi-curve", "--n", "200", "--durations-tau", "0,1,5"],
-    ["doublewell", "relax", "--n", "200", "--t-total", "2"],
-    ["doublewell", "heated", "--n", "200", "--t-total", "2"],
-    ["doublewell", "escape", "--n", "150"],
+    # 2 * BLOCK + 1 trajectories: three double-well blocks, the last partial.
+    ["doublewell", "relax", "--n", str(2 * BLOCK + 1), "--t-total", "2"],
+    ["doublewell", "heated", "--n", str(2 * BLOCK + 1), "--t-total", "2"],
+    ["doublewell", "escape", "--n", str(2 * BLOCK + 1)],
     ["bounds", "brillouin"],
     ["bounds", "anderson"],
     ["bounds", "icecube"],

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from thermobit import cli, verification
+from thermobit import cli, doublewell, verification
 from thermobit.capacitor import BLOCK
 
 BASE = [sys.executable, "-m", "thermobit.cli"]
@@ -52,6 +52,21 @@ class TestExitCodes:
         proc = run_cli(argv + ["--n", "10", "--output-dir", str(tmp_path)])
         assert proc.returncode == 3
         assert "config error" in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["doublewell", "relax", "--t-total", "inf"],
+        ["doublewell", "heated", "--t-total", "inf"],
+        ["doublewell", "heated", "--t-hot", "nan"],
+        ["doublewell", "heated", "--t-hot", "0.5"],
+        ["doublewell", "escape", "--max-time", "-1"],
+        ["doublewell", "escape", "--barrier-kt", "0"],
+        ["doublewell", "relax", "--dt", "nan"],
+        ["doublewell", "relax", "--side", "2"],
+    ])
+    def test_bad_doublewell_input_is_config_error(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--n", "100", "--output-dir", str(tmp_path)]) == 3
+        assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_successful_run_is_zero(self, tmp_path):
@@ -184,6 +199,21 @@ class TestBlocks:
             assert proc.returncode == 0
             assert json.loads(proc.stdout)["config"]["n_trajectories"] == BLOCK + 1
             blobs.append((out / "capacitor_write.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+    @pytest.mark.parametrize("argv", [
+        ["doublewell", "relax", "--t-total", "2"],
+        ["doublewell", "heated", "--t-total", "2"],
+        ["doublewell", "escape"],
+    ])
+    def test_doublewell_partial_block_bytes_stable_across_workers(self, tmp_path, argv):
+        blobs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert cli.main(argv + ["--n", str(doublewell.BLOCK + 1), "--workers", workers,
+                                    "--output-dir", str(out)]) == 0
+            blobs.append((out / f"doublewell_{argv[1]}.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
 

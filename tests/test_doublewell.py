@@ -1,10 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thermobit.doublewell import (DoubleWellParams, EscapeInfeasibleError, em_step,
+from thermobit import doublewell
+from thermobit.doublewell import (BLOCK, DoubleWellParams, EscapeInfeasibleError,
                                   heated_erase, measure_escape_time, relax_ensemble,
                                   sample_well)
 from thermobit.streams import make_stream
@@ -51,22 +53,40 @@ class TestParams:
                              damping=-1.0, temperature=1.0)
 
 
+def scalar_em_path(p, x, z, dt, temperature=None):
+    """Reference loop: x <- x - U'(x)*dt/gamma + amp*z, one Python float at a time.
+
+    z[k, i] is the noise of step k + 1 of row i; returns the path in the
+    same layout.
+    """
+    kT = p.boltzmann * (temperature if temperature is not None else p.temperature)
+    amp = math.sqrt(2.0 * kT * dt / p.damping)
+    path = np.empty_like(z)
+    for i, xi in enumerate(x):
+        xi = float(xi)
+        for k in range(z.shape[0]):
+            xi = xi - float(p.potential_grad(xi)) * dt / p.damping + amp * z[k, i]
+            path[k, i] = xi
+    return path
+
+
 class TestEmStep:
     def test_drift_vanishes_at_stationary_points(self):
         p = DoubleWellParams.reduced(2.0)
         dt = 0.5 * p.max_stable_dt
         amp = math.sqrt(2.0 * p.kT * dt / p.damping)
-        for x0 in (0.0, p.well_position, -p.well_position):
-            z = make_stream(30, 0).standard_normal()
-            got = em_step(x0, dt, p, make_stream(30, 0))
-            assert got == pytest.approx(x0 + amp * z, rel=1e-14, abs=1e-14)
+        x0 = np.array([0.0, p.well_position, -p.well_position])
+        z = make_stream(30, 0).standard_normal((1, 3))
+        got = doublewell._em_round(x0, 1, p, dt, p.temperature, make_stream(30, 0))
+        np.testing.assert_allclose(got[0], x0 + amp * z[0], rtol=1e-14, atol=1e-14)
 
     def test_rejects_unstable_dt(self):
         p = DoubleWellParams.reduced(2.0)
-        with pytest.raises(ValueError):
-            em_step(0.0, 2.0 * p.max_stable_dt, p, make_stream(0, 0))
-        with pytest.raises(ValueError):
-            em_step(0.0, 0.0, p, make_stream(0, 0))
+        for dt in (2.0 * p.max_stable_dt, 0.0):
+            with pytest.raises(ValueError):
+                relax_ensemble(p, 1, 1.0, dt, 100, seed=0)
+            with pytest.raises(ValueError):
+                measure_escape_time(p, 10, dt, seed=0)
 
     def test_long_run_matches_boltzmann(self):
         # Stationarity oracle: evolve an equilibrium ensemble and compare the
@@ -74,18 +94,66 @@ class TestEmStep:
         # (sup-norm tolerance 0.05 for n = 2000, KS 95% is ~0.030).
         p = DoubleWellParams.reduced(2.0)
         dt = 0.5 * p.max_stable_dt
-        n, steps = 2000, 1000
-        streams = [make_stream(31, i) for i in range(n)]
-        x = np.array([sample_well(p, i % 2, s) for i, s in enumerate(streams)])
-        amp = math.sqrt(2.0 * p.kT * dt / p.damping)
-        for block in range(steps // 100):
-            z = np.stack([s.standard_normal(100) for s in streams])
-            for k in range(100):
-                x += -p.potential_grad(x) / p.damping * dt + amp * z[:, k]
+        rng = make_stream(31, 0)
+        x = np.concatenate([doublewell._sample_rows(p, side, rng, 1000) for side in (0, 1)])
+        for _ in range(2):
+            x = doublewell._em_round(x, 500, p, dt, p.temperature, rng)[-1]
         xs = np.linspace(-2.0, 2.0, 41)
         theory = boltzmann_cdf_grid(p, xs)
         empirical = np.array([(x <= xi).mean() for xi in xs])
         assert np.max(np.abs(empirical - theory)) < 0.05
+
+
+class TestBlockKernels:
+    def test_relax_block_matches_scalar_loop(self):
+        # 700 steps span two noise rounds (512 + 188), so the carried state
+        # and the per-round draw layout are both pinned.
+        p = DoubleWellParams.reduced(2.0)
+        dt = 0.5 * p.max_stable_dt
+        rows, n_steps = 5, 700
+        record = doublewell._log_step_grid(n_steps)
+        got = doublewell._relax_block(make_stream(50, 0), rows, p, 1, dt, 3.0, record)
+
+        rng = make_stream(50, 0)
+        x0 = doublewell._sample_rows(p, 1, rng, rows)
+        z = np.concatenate([rng.standard_normal((doublewell._ROUND, rows)),
+                            rng.standard_normal((n_steps - doublewell._ROUND, rows))])
+        want = scalar_em_path(p, x0, z, dt, temperature=3.0)
+        assert got.shape == (1 + record.size, rows)
+        np.testing.assert_array_equal(got[0], x0)
+        np.testing.assert_allclose(got[1:], want[record - 1], rtol=1e-12)
+
+    def test_escape_block_matches_scalar_loop(self):
+        # Within one round: each row's escape step is the first step of the
+        # reference path at x <= 0, and -1 when it never gets there.
+        p = DoubleWellParams.reduced(1.0)
+        dt = 0.5 * p.max_stable_dt
+        rows, max_steps = 40, 400
+        got = doublewell._escape_block(make_stream(51, 0), rows, p, dt, max_steps)
+
+        z = make_stream(51, 0).standard_normal((max_steps, rows))
+        crossed = scalar_em_path(p, np.full(rows, p.well_position), z, dt) <= 0.0
+        want = np.where(crossed.any(axis=0), crossed.argmax(axis=0) + 1, -1)
+        np.testing.assert_array_equal(got, want)
+        assert (want > 0).any() and (want < 0).any()
+
+    def test_partial_last_block(self):
+        p = DoubleWellParams.reduced(1.0)
+        dt = 0.5 * p.max_stable_dt
+        task = partial(doublewell._escape_block, p=p, dt=dt, max_steps=10)
+        parts = doublewell._run_blocks(task, BLOCK + 1, 52, 1)
+        assert [part.size for part in parts] == [BLOCK, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exhausted_budget_raises_unwrapped(self, monkeypatch, workers):
+        # Pass the up-front Kramers guard so that the blocks themselves run
+        # out of steps; the parent must raise EscapeInfeasibleError itself.
+        monkeypatch.setattr(DoubleWellParams, "kramers_time_estimate",
+                            lambda self, temperature=None: 0.0)
+        p = DoubleWellParams.reduced(2.0)
+        with pytest.raises(EscapeInfeasibleError, match=f"of {BLOCK + 1} trajectories did not"):
+            measure_escape_time(p, BLOCK + 1, 0.5 * p.max_stable_dt, seed=0,
+                                max_time=0.05, worker_count=workers)
 
 
 class TestSampleWell:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermobit.ou import CellParams, Trajectory, ou_sample_stationary, ou_step, simulate_ou_path
+from thermobit.ou import CellParams, ou_sample_stationary, ou_step
 from thermobit.streams import make_stream
 
 
@@ -76,25 +76,14 @@ class TestStationarySampler:
 
 
 class TestSimulatePath:
-    def test_shape_and_grid(self, cell):
-        traj = simulate_ou_path(1.0, 1.0, 0.3, cell, make_stream(6, 0), stream_index=9)
-        assert traj.times.size == math.ceil(1.0 / 0.3) + 1
-        assert traj.values[0] == 1.0
-        assert traj.stream_index == 9
-        assert np.all(np.diff(traj.times) > 0)
-
-    def test_zero_total_time_rejected(self, cell):
-        with pytest.raises(ValueError):
-            simulate_ou_path(0.0, 0.0, 0.1, cell, make_stream(0, 0))
+    """Paths built from repeated exact ou_step transitions."""
 
     def test_terminal_variance_thermalizes(self, cell):
         n = 20_000
-        finals = np.array([
-            simulate_ou_path(cell.sigma_st, 20.0 * cell.tau, 0.5 * cell.tau, cell,
-                             make_stream(7, i)).values[-1]
-            for i in range(n)
-        ])
-        assert abs(finals.var() - 1.0) < 3.0 * math.sqrt(2.0 / n)
+        v = np.full(n, cell.sigma_st)
+        for k in range(40):
+            v = ou_step(v, 0.5 * cell.tau, cell, make_stream(7, k))
+        assert abs(v.var() - 1.0) < 3.0 * math.sqrt(2.0 / n)
 
     def test_two_half_steps_match_one_full_step(self, cell):
         # Exact-discretization property: moments of (dt, dt) stepping agree
@@ -112,21 +101,9 @@ class TestSimulatePath:
 
     def test_stationarity_preserved_along_path(self, cell):
         n = 5000
-        paths = np.array([
-            simulate_ou_path(float(ou_sample_stationary(cell, make_stream(9, i))),
-                             5.0, 1.0, cell, make_stream(10, i)).values
-            for i in range(n)
-        ])
+        v = ou_sample_stationary(cell, make_stream(9, 0), size=n)
         tol = 3.0 * math.sqrt(2.0 / n)
-        for k in range(paths.shape[1]):
-            assert abs(paths[:, k].var() - 1.0) < tol
-
-
-class TestTrajectory:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=[0.0, 1.0], values=[1.0], stream_index=0)
-        with pytest.raises(ValueError):
-            Trajectory(times=[0.0, 0.0], values=[1.0, 2.0], stream_index=0)
-        with pytest.raises(ValueError):
-            Trajectory(times=[], values=[], stream_index=0)
+        assert abs(v.var() - 1.0) < tol
+        for k in range(5):
+            v = ou_step(v, 1.0, cell, make_stream(10, k))
+            assert abs(v.var() - 1.0) < tol
