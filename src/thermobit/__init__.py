@@ -15,7 +15,7 @@ from .capacitor import (EraseRecord, ErasureExperimentConfig, ErasureReport,
                         erase_dissipation_theory, partial_erase_error_prob,
                         read_bit, run_erasure_experiment, write_bit)
 from .doublewell import (DoubleWellParams, EscapeInfeasibleError, RelaxationSeries,
-                         heated_erase, measure_escape_time, relax_ensemble, sample_well)
+                         heated_erase, measure_escape_time, relax_ensemble)
 from .ensemble import EnsembleWorkerError, run_parallel_ensemble
 from .infotheory import (BitChannelStats, InformationContent, bit_information,
                          estimate_error_prob, memory_entropy, nats_to_bits,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
-from .ensemble import run_parallel_ensemble
+from .ensemble import run_blocks
 from .infotheory import BitChannelStats, InformationContent, estimate_error_prob, remaining_information
 from .ou import CellParams, _check_step_args, ou_sample_stationary
 from .streams import RngStream
@@ -170,16 +170,13 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     return steps
 
 
-def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream,
-                per_sample_error=0.5, max_duration=None):
+def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream, max_duration=None):
     """Write bits[i] on row i; return (v_start, target, steps, control_cost) arrays."""
     u0 = float(u0)
     if not (math.isfinite(u0) and u0 > 0.0):
         raise ValueError(f"u0 must be positive, got {u0!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if not 0.0 < per_sample_error <= 0.5:
-        raise ValueError("per_sample_error must lie in (0, 0.5]")
     if max_duration is None:
         # Generous guard: mean first-passage time to u0 from the bulk is
         # O(tau * exp(u0^2 / (2 sigma^2))) for u0 above sigma.
@@ -188,12 +185,11 @@ def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream,
     target = np.where(bits == 1, u0, -u0)
     v_start = ou_sample_stationary(p, rng, size=target.size)
     steps = _first_passage(v_start, target, p, dt, rng, max_duration)
-    control = (steps + 1) * (p.kT * math.log(1.0 / per_sample_error))
+    control = (steps + 1) * (p.kT * math.log(2.0))
     return v_start, target, steps, control
 
 
-def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *,
-              per_sample_error=0.5, max_duration=None):
+def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *, max_duration=None):
     """Write `bit` by first passage of the connected cell to +-u0.
 
     The initial state is a fresh stationary sample (the cell is assumed
@@ -204,14 +200,13 @@ def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *,
     initial sample already lies at or beyond the target, the write
     completes immediately with a single measurement decision.
 
-    The control-cost lower bound charges kT*ln(1/per_sample_error) per
-    measurement decision (kT*ln 2 at the default), reported separately
-    from the bath heat.
+    The control-cost lower bound charges kT*ln 2 per measurement
+    decision, reported separately from the bath heat.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     v_start, target, steps, control = (x.item() for x in _write_rows(
-        np.array([bit]), u0, p, dt, rng, per_sample_error, max_duration))
+        np.array([bit]), u0, p, dt, rng, max_duration))
     return WriteRecord(bit_written=bit, target_level=target, duration=steps * dt,
                        v_start=v_start, v_final=target, n_samples=steps + 1,
                        bath_heat=_bath_heat(p.capacitance, v_start, target),
@@ -277,22 +272,6 @@ class ErasureExperimentConfig:
         return self.dt if self.dt is not None else DEFAULT_DT_FRACTION * self.cell.tau
 
 
-def _sized_block(stream, task, n, first_index):
-    return task(stream, min(BLOCK, n - (stream.stream_index - first_index) * BLOCK))
-
-
-def _run_blocks(block_fn, n, master_seed, worker_count, stream_offset=0, **kwargs):
-    """Run block_fn(stream, rows, **kwargs) on ceil(n/BLOCK) blocks; concatenate each output.
-
-    Block k uses stream stream_offset + k and holds BLOCK rows, except
-    the last, which holds the rest.
-    """
-    task = partial(_sized_block, task=partial(block_fn, **kwargs), n=n, first_index=stream_offset)
-    parts = run_parallel_ensemble(task, -(-n // BLOCK), master_seed,
-                                  worker_count=worker_count, stream_offset=stream_offset)
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
 def _write_block(stream, rows, bit, u0, p, dt):
     v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, p, dt, stream)
     return _bath_heat(p.capacitance, v_start, target), steps, control
@@ -320,15 +299,15 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return _run_blocks(_write_block, n, master_seed, worker_count, stream_offset,
-                       bit=bit, u0=u0, p=p, dt=dt)
+    return run_blocks(partial(_write_block, bit=bit, u0=u0, p=p, dt=dt), n, BLOCK, master_seed,
+                      worker_count=worker_count, stream_offset=stream_offset)
 
 
 def erase_ensemble(v0, duration, p: CellParams, dt, n, master_seed, *,
                    worker_count=1, stream_offset=0):
     """Bath heat of n independent erases from v0 (see erase), as an array."""
-    (heat,) = _run_blocks(_erase_block, n, master_seed, worker_count, stream_offset,
-                          v0=v0, duration=duration, p=p, dt=dt)
+    (heat,) = run_blocks(partial(_erase_block, v0=v0, duration=duration, p=p, dt=dt), n, BLOCK,
+                         master_seed, worker_count=worker_count, stream_offset=stream_offset)
     return heat
 
 
@@ -342,9 +321,11 @@ def run_erasure_experiment(config: ErasureExperimentConfig) -> list:
     reports = []
     n = config.n_trajectories
     for d_idx, duration in enumerate(config.durations):
-        bits, reads, q = _run_blocks(
-            _erasure_block, n, config.master_seed, config.worker_count, d_idx * -(-n // BLOCK),
-            u0=config.u0, duration=float(duration), p=config.cell, dt=config.step)
+        task = partial(_erasure_block, u0=config.u0, duration=float(duration), p=config.cell,
+                       dt=config.step)
+        bits, reads, q = run_blocks(task, n, BLOCK, config.master_seed,
+                                    worker_count=config.worker_count,
+                                    stream_offset=d_idx * -(-n // BLOCK))
         channel = estimate_error_prob(bits, reads)
         reports.append(ErasureReport(
             duration=float(duration),

@@ -153,11 +153,14 @@ def _resolve_opts(args, file_cfg, opts):
 
 
 def _cell_from(resolved):
-    if resolved["unit_mode"] == "si":
+    if resolved["unit_mode"] != "si":
+        return CellParams.reduced()
+    try:
         return CellParams(temperature=resolved["temperature_K"],
                           resistance=resolved["resistance_ohm"],
                           capacitance=resolved["capacitance_F"])
-    return CellParams.reduced()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _se(values):

@@ -9,9 +9,10 @@ energy stays constant: erasure by pure thermalization, with no mean
 energy dissipation.  Heating the cell speeds this up at the price of
 absorbed energy.
 
-Ensembles run in blocks of BLOCK trajectories; block k draws from the
-stream make_stream(master_seed, k) whatever the worker count, so the
-results are byte-identical for any number of workers.
+Ensembles run through ensemble.run_blocks in blocks of BLOCK
+trajectories; block k draws from the stream make_stream(master_seed, k)
+whatever the worker count, so the results are byte-identical for any
+number of workers.
 """
 
 import math
@@ -21,14 +22,13 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .ensemble import run_parallel_ensemble
+from .ensemble import run_blocks
 from .ou import BOLTZMANN
 
 __all__ = [
     "DoubleWellParams",
     "RelaxationSeries",
     "EscapeInfeasibleError",
-    "sample_well",
     "relax_ensemble",
     "heated_erase",
     "measure_escape_time",
@@ -90,12 +90,11 @@ class DoubleWellParams:
         x0 = self.well_position
         return 4.0 * self.barrier_height * x * ((x / x0) ** 2 - 1.0) / (x0 * x0)
 
-    def kramers_time_estimate(self, temperature=None):
+    def kramers_time_estimate(self):
         """Crude mean escape time: 2*pi*gamma/sqrt(U''_min*|U''_max|) * exp(E/kT)."""
-        kT = self.boltzmann * (temperature if temperature is not None else self.temperature)
         x0sq = self.well_position ** 2
         curv = math.sqrt((8.0 * self.barrier_height / x0sq) * (4.0 * self.barrier_height / x0sq))
-        return 2.0 * math.pi * self.damping / curv * math.exp(self.barrier_height / kT)
+        return 2.0 * math.pi * self.damping / curv * math.exp(self.barrier_height / self.kT)
 
 
 @dataclass
@@ -126,9 +125,9 @@ def _check_dt(p, dt):
 
 
 @lru_cache(maxsize=32)
-def _boltzmann_grid(p: DoubleWellParams, temperature):
+def _boltzmann_grid(p: DoubleWellParams):
     """Inverse-CDF table of the global Boltzmann law on a symmetric grid."""
-    kT = p.boltzmann * temperature
+    kT = p.kT
     # Truncate where the Boltzmann weight is ~e^-40 of the well bottom.
     span = p.well_position * math.sqrt(1.0 + math.sqrt(40.0 * kT / p.barrier_height))
     x = np.linspace(-span, span, 16385)
@@ -138,12 +137,16 @@ def _boltzmann_grid(p: DoubleWellParams, temperature):
     return x, cdf
 
 
-def _sample_rows(p: DoubleWellParams, side, rng, rows, temperature=None):
-    """`rows` equilibrium samples conditioned on one well (see sample_well)."""
+def _sample_rows(p: DoubleWellParams, side, rng, rows):
+    """`rows` equilibrium samples conditioned on residing in one well.
+
+    Inverse-CDF draws from the global Boltzmann law, with wrong-sign draws
+    rejected (x == 0 counts as side 1, the read-out tie-break): exactly the
+    global equilibrium restricted to the chosen side.
+    """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side!r}")
-    temperature = temperature if temperature is not None else p.temperature
-    grid_x, grid_cdf = _boltzmann_grid(p, temperature)
+    grid_x, grid_cdf = _boltzmann_grid(p)
     out = np.empty(rows)
     filled = 0
     while filled < rows:
@@ -152,17 +155,6 @@ def _sample_rows(p: DoubleWellParams, side, rng, rows, temperature=None):
         out[filled:filled + x.size] = x
         filled += x.size
     return out
-
-
-def sample_well(p: DoubleWellParams, side, rng, temperature=None):
-    """Equilibrium sample conditioned on residing in one well.
-
-    Draws from the global Boltzmann law by inverse CDF on a quadrature
-    grid and rejects samples with the wrong sign (x == 0 counts as side
-    1, matching the read-out tie-break).  The accepted law is exactly
-    the restriction of the global equilibrium to the chosen side.
-    """
-    return float(_sample_rows(p, side, rng, 1, temperature)[0])
 
 
 def _em_round(x, width, p: DoubleWellParams, dt, temperature, rng):
@@ -190,7 +182,7 @@ def _em_round(x, width, p: DoubleWellParams, dt, temperature, rng):
 
 
 def _relax_block(stream, rows, p, side, dt, temperature, record):
-    """States at step 0 and at each step of `record`, as a (1 + len(record), rows) array.
+    """1-tuple of the states at step 0 and at each step of `record`, shape (1 + len(record), rows).
 
     Rows start from the ambient conditional equilibrium of `side` and
     evolve at `temperature` up to step record[-1].
@@ -204,11 +196,11 @@ def _relax_block(stream, rows, p, side, dt, temperature, record):
         states.append(path[record[(record > step) & (record <= step + width)] - step - 1])
         x = path[-1]
         step += width
-    return np.concatenate(states)
+    return (np.concatenate(states),)
 
 
 def _escape_block(stream, rows, p, dt, max_steps):
-    """Step of each row's first sample at x <= 0 from +x0; -1 if none within max_steps.
+    """1-tuple of each row's first step at x <= 0 from +x0; -1 if none within max_steps.
 
     Rows that have crossed drop out at the end of each round.
     """
@@ -224,26 +216,12 @@ def _escape_block(stream, rows, p, dt, max_steps):
         steps[active[hit]] = walked + crossed[:, hit].argmax(axis=0) + 1
         walked += width
         active, x = active[~hit], path[-1, ~hit]
-    return steps
+    return (steps,)
 
 
-def _sized_block(stream, task, n):
-    return task(stream, min(BLOCK, n - stream.stream_index * BLOCK))
-
-
-def _run_blocks(task, n, seed, worker_count):
-    """Results of task(stream, rows) on ceil(n/BLOCK) blocks, in block order.
-
-    Block k runs on make_stream(seed, k) and holds BLOCK rows, except the
-    last, which holds the rest.
-    """
-    return run_parallel_ensemble(partial(_sized_block, task=task, n=n), -(-n // BLOCK),
-                                 seed, worker_count=worker_count)
-
-
-def _log_step_grid(n_steps, per_decade=20):
+def _log_step_grid(n_steps):
     """Step indices spaced ~20 per decade from step 1 to n_steps (>= 1)."""
-    count = int(round(math.log10(n_steps) * per_decade)) + 1
+    count = int(round(math.log10(n_steps) * 20)) + 1
     raw = np.round(np.logspace(0.0, math.log10(n_steps), count)).astype(np.int64)
     return np.unique(np.append(raw, n_steps))
 
@@ -257,10 +235,12 @@ def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
         raise ValueError("n_traj must be >= 100")
     if not 0.0 < t_total < math.inf:
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
+    if not t_total / dt < 2.0 ** 63:
+        raise ValueError(f"t_total/dt = {t_total / dt:.3g} steps overflows a 64-bit step count")
 
     record = _log_step_grid(math.ceil(t_total / dt))
     task = partial(_relax_block, p=p, side=side, dt=dt, temperature=temperature, record=record)
-    x = np.concatenate(_run_blocks(task, n_traj, seed, worker_count), axis=1)
+    (x,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     u = p.potential(x)
     p1 = np.mean(x >= 0.0, axis=1)
     series = RelaxationSeries(times=np.append(0.0, record * dt), p1=p1,
@@ -318,7 +298,7 @@ def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, max_time=1e4, *,
             f"(barrier is {p.barrier_height / p.kT:.2f} kT)")
 
     task = partial(_escape_block, p=p, dt=dt, max_steps=math.ceil(max_time / dt))
-    steps = np.concatenate(_run_blocks(task, n_traj, seed, worker_count))
+    (steps,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     stuck = np.count_nonzero(steps < 0)
     if stuck:
         raise EscapeInfeasibleError(f"{stuck} of {n_traj} trajectories did not escape within "

@@ -1,16 +1,20 @@
 """Deterministic parallel execution of Monte Carlo tasks.
 
-Each task (one trajectory, or a block of them) gets the stream derived
-from (master_seed, stream_offset + task index).  Because every stream
-is a pure function of its key, the merged result list depends only on
-the seed and the task, never on the worker count or completion order.
+Task i gets the stream derived from (master_seed, stream_offset + i).
+Because every stream is a pure function of its key, the merged result
+depends only on the seed and the task, never on the worker count or
+completion order.  Every ensemble runs through `run_blocks`, the one
+layout of trajectories into blocks and blocks onto streams.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
+import numpy as np
 
 from .streams import make_stream
 
-__all__ = ["EnsembleWorkerError", "run_parallel_ensemble"]
+__all__ = ["EnsembleWorkerError", "run_parallel_ensemble", "run_blocks"]
 
 
 class EnsembleWorkerError(RuntimeError):
@@ -28,14 +32,11 @@ class EnsembleWorkerError(RuntimeError):
         return (self.__class__, (self.stream_index, self.cause_text))
 
 
-def _run_chunk(task, master_seed, indices):
-    out = []
-    for i in indices:
-        try:
-            out.append(task(make_stream(master_seed, i)))
-        except Exception as exc:  # noqa: BLE001 - re-raised with stream identity
-            raise EnsembleWorkerError(i, exc) from exc
-    return out
+def _run_one(task, master_seed, index):
+    try:
+        return task(make_stream(master_seed, index))
+    except Exception as exc:  # noqa: BLE001 - re-raised with stream identity
+        raise EnsembleWorkerError(index, exc) from exc
 
 
 def run_parallel_ensemble(task, n_trajectories, master_seed, *,
@@ -50,17 +51,27 @@ def run_parallel_ensemble(task, n_trajectories, master_seed, *,
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
 
+    run = partial(_run_one, task, master_seed)
     indices = range(stream_offset, stream_offset + n_trajectories)
     if worker_count == 1:
-        return _run_chunk(task, master_seed, indices)
-
-    chunk = max(1, -(-n_trajectories // (worker_count * 4)))
-    chunks = [indices[k:k + chunk] for k in range(0, n_trajectories, chunk)]
-    results = []
+        return [run(i) for i in indices]
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
-        for part in pool.map(_run_chunk,
-                             [task] * len(chunks),
-                             [master_seed] * len(chunks),
-                             chunks):
-            results.extend(part)
-    return results
+        return list(pool.map(run, indices, chunksize=-(-n_trajectories // (4 * worker_count))))
+
+
+def _run_block(stream, task, n, block, stream_offset):
+    return task(stream, min(block, n - (stream.stream_index - stream_offset) * block))
+
+
+def run_blocks(task, n, block, master_seed, *, worker_count=1, stream_offset=0):
+    """Run task(stream, rows) on ceil(n/block) blocks; join each output in block order.
+
+    Block k uses make_stream(master_seed, stream_offset + k) and holds
+    `block` rows, except the last, which holds the rest.  Every task
+    returns a tuple of arrays; the result is the tuple of their
+    concatenations along the last (row) axis.
+    """
+    sized = partial(_run_block, task=task, n=n, block=block, stream_offset=stream_offset)
+    parts = run_parallel_ensemble(sized, -(-n // block), master_seed,
+                                  worker_count=worker_count, stream_offset=stream_offset)
+    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))

@@ -1,9 +1,9 @@
 """Reproducible parallel random-number streams.
 
 Every Monte Carlo task owns one counter-based stream, keyed by
-(master_seed, stream_index); a task is a block of up to capacitor.BLOCK
-or doublewell.BLOCK trajectories.  The same key always reproduces the same
-sequence, whichever worker consumes it, so results merge in
+(master_seed, stream_index); ensemble.run_blocks gives block k of an
+ensemble the stream stream_offset + k.  The same key always reproduces
+the same sequence, whichever worker consumes it, so results merge in
 stream-index order and stay byte-identical across worker counts.
 
 Streams are backed by numpy's Philox counter-based bit generator with

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobit.capacitor import (BLOCK, ErasureExperimentConfig, WriteTimeoutError,
-                                 _erase_rows, _first_passage, erase, erase_dissipation_theory,
-                                 erase_ensemble, partial_erase_error_prob, read_bit,
-                                 run_erasure_experiment, write_bit, write_ensemble)
+from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, _erase_rows,
+                                 _first_passage, erase, erase_dissipation_theory,
+                                 partial_erase_error_prob, read_bit, run_erasure_experiment,
+                                 write_bit)
 from thermobit.ou import CellParams
 from thermobit.streams import make_stream
 
@@ -289,16 +289,6 @@ class TestBlockKernels:
         mean, var = math.exp(-1.0), 1.0 - math.exp(-2.0)
         assert abs(v_final.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(v_final.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))
-
-    def test_partial_last_block(self):
-        n = BLOCK + 1
-        for arrays in (write_ensemble(1, 0.5, CELL, 0.01, n, 32),
-                       [erase_ensemble(0.5, 1.0, CELL, 0.01, n, 32)]):
-            assert all(a.shape == (n,) for a in arrays)
-        cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0,),
-                                      n_trajectories=n, master_seed=32)
-        (rep,) = run_erasure_experiment(cfg)
-        assert rep.channel.trials == n
 
     def test_equal_durations_use_distinct_streams(self):
         cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0, 1.0),

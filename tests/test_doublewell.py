@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -7,9 +6,13 @@ from scipy.integrate import quad
 
 from thermobit import doublewell
 from thermobit.doublewell import (BLOCK, DoubleWellParams, EscapeInfeasibleError,
-                                  heated_erase, measure_escape_time, relax_ensemble,
-                                  sample_well)
+                                  heated_erase, measure_escape_time, relax_ensemble)
 from thermobit.streams import make_stream
+
+
+def sample_one(p, side, rng):
+    """One equilibrium sample conditioned on one well."""
+    return doublewell._sample_rows(p, side, rng, 1)[0]
 
 
 def boltzmann_mean_potential(p, side=None, temperature=None):
@@ -112,7 +115,7 @@ class TestBlockKernels:
         dt = 0.5 * p.max_stable_dt
         rows, n_steps = 5, 700
         record = doublewell._log_step_grid(n_steps)
-        got = doublewell._relax_block(make_stream(50, 0), rows, p, 1, dt, 3.0, record)
+        (got,) = doublewell._relax_block(make_stream(50, 0), rows, p, 1, dt, 3.0, record)
 
         rng = make_stream(50, 0)
         x0 = doublewell._sample_rows(p, 1, rng, rows)
@@ -129,7 +132,7 @@ class TestBlockKernels:
         p = DoubleWellParams.reduced(1.0)
         dt = 0.5 * p.max_stable_dt
         rows, max_steps = 40, 400
-        got = doublewell._escape_block(make_stream(51, 0), rows, p, dt, max_steps)
+        (got,) = doublewell._escape_block(make_stream(51, 0), rows, p, dt, max_steps)
 
         z = make_stream(51, 0).standard_normal((max_steps, rows))
         crossed = scalar_em_path(p, np.full(rows, p.well_position), z, dt) <= 0.0
@@ -137,19 +140,12 @@ class TestBlockKernels:
         np.testing.assert_array_equal(got, want)
         assert (want > 0).any() and (want < 0).any()
 
-    def test_partial_last_block(self):
-        p = DoubleWellParams.reduced(1.0)
-        dt = 0.5 * p.max_stable_dt
-        task = partial(doublewell._escape_block, p=p, dt=dt, max_steps=10)
-        parts = doublewell._run_blocks(task, BLOCK + 1, 52, 1)
-        assert [part.size for part in parts] == [BLOCK, 1]
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exhausted_budget_raises_unwrapped(self, monkeypatch, workers):
         # Pass the up-front Kramers guard so that the blocks themselves run
         # out of steps; the parent must raise EscapeInfeasibleError itself.
         monkeypatch.setattr(DoubleWellParams, "kramers_time_estimate",
-                            lambda self, temperature=None: 0.0)
+                            lambda self: 0.0)
         p = DoubleWellParams.reduced(2.0)
         with pytest.raises(EscapeInfeasibleError, match=f"of {BLOCK + 1} trajectories did not"):
             measure_escape_time(p, BLOCK + 1, 0.5 * p.max_stable_dt, seed=0,
@@ -160,26 +156,26 @@ class TestSampleWell:
     def test_side_conditioning(self):
         p = DoubleWellParams.reduced(2.0)
         s = make_stream(32, 0)
-        assert all(sample_well(p, 1, s) > 0 for _ in range(200))
-        assert all(sample_well(p, 0, s) < 0 for _ in range(200))
+        assert all(sample_one(p, 1, s) > 0 for _ in range(200))
+        assert all(sample_one(p, 0, s) < 0 for _ in range(200))
 
     def test_conditional_mean_potential(self):
         p = DoubleWellParams.reduced(2.0)
         s = make_stream(33, 0)
         n = 100_000
-        u = p.potential(np.array([sample_well(p, 1, s) for _ in range(n)]))
+        u = p.potential(np.array([sample_one(p, 1, s) for _ in range(n)]))
         oracle = boltzmann_mean_potential(p, side=1)
         assert abs(u.mean() - oracle) < 3.0 * u.std(ddof=1) / math.sqrt(n)
 
     def test_mirror_symmetry(self):
         p = DoubleWellParams.reduced(2.0)
-        a = np.array([sample_well(p, 1, make_stream(34, i)) for i in range(20_000)])
-        b = np.array([sample_well(p, 0, make_stream(35, i)) for i in range(20_000)])
+        a = np.array([sample_one(p, 1, make_stream(34, i)) for i in range(20_000)])
+        b = np.array([sample_one(p, 0, make_stream(35, i)) for i in range(20_000)])
         assert abs(a.mean() + b.mean()) < 4.0 * a.std() / math.sqrt(a.size)
 
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
-            sample_well(DoubleWellParams.reduced(2.0), 2, make_stream(0, 0))
+            sample_one(DoubleWellParams.reduced(2.0), 2, make_stream(0, 0))
 
 
 class TestRelaxEnsemble:
