@@ -13,7 +13,7 @@ from .bounds import (BoundComparison, IceCubeModel, NoErasureError, anderson_bou
 from .capacitor import (EraseRecord, ErasureExperimentConfig, ErasureReport,
                         WriteRecord, WriteTimeoutError, erase,
                         erase_dissipation_theory, partial_erase_error_prob,
-                        read_bit, run_erasure_experiment, write_bit)
+                        run_erasure_experiment, write_bit)
 from .doublewell import (DoubleWellParams, EscapeInfeasibleError, RelaxationSeries,
                          heated_erase, measure_escape_time, relax_ensemble)
 from .ensemble import EnsembleWorkerError, run_parallel_ensemble

@@ -34,7 +34,6 @@ __all__ = [
     "ErasureExperimentConfig",
     "WriteTimeoutError",
     "write_bit",
-    "read_bit",
     "erase",
     "erase_dissipation_theory",
     "partial_erase_error_prob",
@@ -43,10 +42,6 @@ __all__ = [
     "erase_ensemble",
     "BLOCK",
 ]
-
-# Default sampling interval, as a fraction of tau.  Keeps the
-# first-passage overshoot bias of the crossing detector negligible.
-DEFAULT_DT_FRACTION = 0.01
 
 # Trajectories per ensemble task.  Each block owns one stream, so the
 # stream key and the task overhead are paid once per BLOCK trajectories.
@@ -95,14 +90,6 @@ class ErasureReport:
     theory_Q_env: float
     channel: BitChannelStats
     information: InformationContent
-
-
-def read_bit(v):
-    """Sign decision: 1 for positive voltage, 0 for negative (tie -> 1)."""
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError(f"voltage must be finite, got {v!r}")
-    return 1 if v >= 0.0 else 0
 
 
 def erase_dissipation_theory(u0, p: CellParams):
@@ -170,13 +157,17 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     return steps
 
 
-def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream, max_duration=None):
-    """Write bits[i] on row i; return (v_start, target, steps, control_cost) arrays."""
-    u0 = float(u0)
+def _check_write_args(u0, dt):
     if not (math.isfinite(u0) and u0 > 0.0):
         raise ValueError(f"u0 must be positive, got {u0!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt!r}")
+
+
+def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream, max_duration=None):
+    """Write bits[i] on row i; return (v_start, target, steps, control_cost) arrays."""
+    u0 = float(u0)
+    _check_write_args(u0, dt)
     if max_duration is None:
         # Generous guard: mean first-passage time to u0 from the bulk is
         # O(tau * exp(u0^2 / (2 sigma^2))) for u0 above sigma.
@@ -213,15 +204,19 @@ def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *, max_duration=None):
                        control_cost_lower_bound=control)
 
 
+def _check_erase_args(v0, duration, dt):
+    _check_step_args(v0, dt)
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
+
+
 def _erase_rows(v0, duration, p: CellParams, dt, rng: RngStream):
     """Thermalize each row of v0 for t = ceil(duration/dt)*dt; return (v_final, t).
 
     One draw per row: the OU transition over any time t is exactly
     v0*exp(-t/tau) + sigma_st*sqrt(1 - exp(-2t/tau))*Z.
     """
-    _check_step_args(v0, dt)
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
+    _check_erase_args(v0, duration, dt)
     if duration == 0.0:
         return v0, 0.0
     t = math.ceil(duration / dt) * dt
@@ -252,24 +247,15 @@ class ErasureExperimentConfig:
     durations: tuple
     n_trajectories: int
     master_seed: int
-    dt: float = None  # defaults to DEFAULT_DT_FRACTION * tau
+    dt: float
     worker_count: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.u0) and self.u0 > 0.0):
-            raise ValueError("u0 must be positive")
+        _check_write_args(self.u0, self.dt)
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
         if not all(0.0 <= d < math.inf for d in self.durations):
             raise ValueError("durations must be finite and non-negative")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
-
-    @property
-    def step(self):
-        return self.dt if self.dt is not None else DEFAULT_DT_FRACTION * self.cell.tau
 
 
 def _write_block(stream, rows, bit, u0, p, dt):
@@ -299,6 +285,7 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    _check_write_args(u0, dt)
     return run_blocks(partial(_write_block, bit=bit, u0=u0, p=p, dt=dt), n, BLOCK, master_seed,
                       worker_count=worker_count, stream_offset=stream_offset)
 
@@ -306,6 +293,7 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
 def erase_ensemble(v0, duration, p: CellParams, dt, n, master_seed, *,
                    worker_count=1, stream_offset=0):
     """Bath heat of n independent erases from v0 (see erase), as an array."""
+    _check_erase_args(v0, duration, dt)
     (heat,) = run_blocks(partial(_erase_block, v0=v0, duration=duration, p=p, dt=dt), n, BLOCK,
                          master_seed, worker_count=worker_count, stream_offset=stream_offset)
     return heat
@@ -322,7 +310,7 @@ def run_erasure_experiment(config: ErasureExperimentConfig) -> list:
     n = config.n_trajectories
     for d_idx, duration in enumerate(config.durations):
         task = partial(_erasure_block, u0=config.u0, duration=float(duration), p=config.cell,
-                       dt=config.step)
+                       dt=config.dt)
         bits, reads, q = run_blocks(task, n, BLOCK, config.master_seed,
                                     worker_count=config.worker_count,
                                     stream_offset=d_idx * -(-n // BLOCK))

@@ -118,6 +118,7 @@ _CELL_OPTS = [
     ("temperature-K", float, 300.0, "cell temperature (si mode)"),
     ("resistance-ohm", float, 1e6, "cell resistance (si mode)"),
     ("capacitance-F", float, 1e-12, "cell capacitance (si mode)"),
+    # 0.01 tau keeps the write's first-passage overshoot bias negligible.
     ("dt-tau", float, 0.01, "sampling step as a fraction of tau"),
 ]
 

@@ -116,12 +116,16 @@ class RelaxationSeries:
             raise ValueError("p1 must lie in [0, 1]")
 
 
-def _check_dt(p, dt):
+def _step_count(p, t, dt, name):
+    """ceil(t/dt) Euler-Maruyama steps, refused for an unstable dt or a count past int64."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt!r}")
     if dt > p.max_stable_dt * (1 + 1e-12):
         raise ValueError(
             f"dt={dt!r} exceeds the Euler-Maruyama stability bound {p.max_stable_dt!r}")
+    if not t / dt < 2.0 ** 63:
+        raise ValueError(f"{name}/dt = {t / dt:.3g} steps overflows a 64-bit step count")
+    return math.ceil(t / dt)
 
 
 @lru_cache(maxsize=32)
@@ -228,17 +232,14 @@ def _log_step_grid(n_steps):
 
 def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
     """Series of an ensemble relaxing at `temperature`, and each trajectory's U change."""
-    _check_dt(p, dt)
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side!r}")
     if n_traj < 100:
         raise ValueError("n_traj must be >= 100")
     if not 0.0 < t_total < math.inf:
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
-    if not t_total / dt < 2.0 ** 63:
-        raise ValueError(f"t_total/dt = {t_total / dt:.3g} steps overflows a 64-bit step count")
 
-    record = _log_step_grid(math.ceil(t_total / dt))
+    record = _log_step_grid(_step_count(p, t_total, dt, "t_total"))
     task = partial(_relax_block, p=p, side=side, dt=dt, temperature=temperature, record=record)
     (x,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     u = p.potential(x)
@@ -286,18 +287,18 @@ def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, max_time=1e4, *,
     exponential in E/kT, so high barriers are out of desk-scale reach),
     and after the run when some trajectory did not escape within it.
     """
-    _check_dt(p, dt)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if not 0.0 < max_time < math.inf:
         raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
+    max_steps = _step_count(p, max_time, dt, "max_time")
     estimate = p.kramers_time_estimate()
     if 20.0 * estimate > max_time:
         raise EscapeInfeasibleError(
             f"Kramers estimate {estimate:.3g} s needs > max_time={max_time:.3g} s "
             f"(barrier is {p.barrier_height / p.kT:.2f} kT)")
 
-    task = partial(_escape_block, p=p, dt=dt, max_steps=math.ceil(max_time / dt))
+    task = partial(_escape_block, p=p, dt=dt, max_steps=max_steps)
     (steps,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     stuck = np.count_nonzero(steps < 0)
     if stuck:

@@ -74,6 +74,7 @@ class TestExitCodes:
         ["doublewell", "relax", "--dt", "nan"],
         ["doublewell", "relax", "--side", "2"],
         ["doublewell", "relax", "--t-total", "1e300"],
+        ["doublewell", "escape", "--max-time", "1e308", "--dt", "1e-5"],
     ])
     def test_bad_doublewell_input_is_config_error(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--n", "100", "--output-dir", str(tmp_path)]) == 3
