@@ -30,8 +30,8 @@ n = 20_000
 print("=== 1. Erase heat vs written level ===")
 print(f"{'u0/sigma':>9} {'<Q_env> sim':>12} {'theory':>9}")
 for u0 in (0.5, 1.0, 2.0):
-    q = erase_ensemble(u0, 20.0, cell, 0.01, n, master_seed=100)
-    theory = erase_dissipation_theory(u0, cell)
+    q = erase_ensemble(u0, 20.0, cell, n, master_seed=100)
+    theory = erase_dissipation_theory(u0, 20.0, cell)
     print(f"{u0:9.1f} {q.mean():12.4f} {theory:9.4f}")
 print("Note the sign change at u0 = sigma: below it, erasing a bit *cools*")
 print("the memory cell and heats nothing.\n")
@@ -39,7 +39,7 @@ print("the memory cell and heats nothing.\n")
 print("=== 2. Writing costs what erasing released ===")
 qw, _, _ = write_ensemble(1, 0.5, cell, 0.01, n, master_seed=101)
 print(f"mean write heat at u0 = 0.5 sigma: {qw.mean():+.4f} kT "
-      f"(theory {-erase_dissipation_theory(0.5, cell):+.4f})")
+      f"(theory {-erase_dissipation_theory(0.5, 20.0, cell):+.4f})")
 print("The write is powered by the bath; the books balance only once the")
 print("control cost of the latch (>= kT ln2 per timing decision) is counted.\n")
 

@@ -9,9 +9,10 @@ thermalize back to the stationary law.
 Every record carries an exact per-trajectory ledger: over a connected
 interval with no external work, the heat delivered to the bath equals
 the negative change of stored capacitor energy, Q_env = -(E_final -
-E_start) with E = C*V^2/2.  The ensemble mean of the erase heat is
-(C*u0^2 - kT)/2, which is negative whenever u0 < sigma_st: erasing a
-weakly-written bit cools the environment.
+E_start) with E = C*V^2/2.  The ensemble mean of the heat of an erase
+that lasts t is (1 - exp(-2t/tau))*(C*u0^2 - kT)/2, which is negative
+whenever u0 < sigma_st: erasing a weakly-written bit cools the
+environment.
 """
 
 import math
@@ -24,7 +25,7 @@ from scipy.special import ndtr
 
 from .ensemble import run_blocks
 from .infotheory import BitChannelStats, InformationContent, estimate_error_prob, remaining_information
-from .ou import CellParams, _check_step_args, ou_sample_stationary
+from .ou import CellParams, _transition, ou_sample_stationary, ou_step
 from .streams import RngStream
 
 __all__ = [
@@ -92,12 +93,20 @@ class ErasureReport:
     information: InformationContent
 
 
-def erase_dissipation_theory(u0, p: CellParams):
-    """Predicted mean bath heat of a complete erase from +-u0: (C*u0^2 - kT)/2."""
+def erase_dissipation_theory(u0, t, p: CellParams):
+    """Exact mean bath heat of an erase from +-u0 that lasts t: (1 - mu^2)*(C*u0^2 - kT)/2.
+
+    With mu = exp(-t/tau), V(t) ~ N(+-u0*mu, (kT/C)*(1 - mu^2)), and the heat
+    is the mean drop of C*V^2/2; it tends to the complete-erase (C*u0^2 - kT)/2.
+    """
     u0 = float(u0)
+    t = float(t)
     if not (math.isfinite(u0) and u0 >= 0.0):
         raise ValueError(f"u0 must be non-negative, got {u0!r}")
-    return 0.5 * (p.capacitance * u0 * u0 - p.kT)
+    if not (t >= 0.0):
+        raise ValueError(f"t must be non-negative, got {t!r}")
+    mu = math.exp(-t / p.tau)
+    return 0.5 * (1.0 - mu * mu) * (p.capacitance * u0 * u0 - p.kT)
 
 
 def partial_erase_error_prob(u0, t, p: CellParams):
@@ -136,8 +145,7 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     one lfilter call; a row is done at its first sample at or past the
     target, and done rows drop out of later rounds.
     """
-    mu = math.exp(-dt / p.tau)
-    s = p.sigma_st * math.sqrt(1.0 - mu * mu)
+    mu, s = _transition(dt, p)
     steps = np.zeros(v.size, dtype=np.int64)
     side = np.sign(v - target)
     active = np.nonzero((v - target) * (0.0 - target) > 0.0)[0]
@@ -204,37 +212,30 @@ def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *, max_duration=None):
                        control_cost_lower_bound=control)
 
 
-def _check_erase_args(v0, duration, dt):
-    _check_step_args(v0, dt)
+def _check_erase_args(v0, duration):
+    if not np.all(np.isfinite(v0)):
+        raise ValueError("state must be finite")
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
 
 
-def _erase_rows(v0, duration, p: CellParams, dt, rng: RngStream):
-    """Thermalize each row of v0 for t = ceil(duration/dt)*dt; return (v_final, t).
-
-    One draw per row: the OU transition over any time t is exactly
-    v0*exp(-t/tau) + sigma_st*sqrt(1 - exp(-2t/tau))*Z.
-    """
-    _check_erase_args(v0, duration, dt)
-    if duration == 0.0:
-        return v0, 0.0
-    t = math.ceil(duration / dt) * dt
-    s = p.sigma_st * math.sqrt(-math.expm1(-2.0 * t / p.tau))
-    return v0 * math.exp(-t / p.tau) + s * rng.standard_normal(np.shape(v0)), t
+def _erase_rows(v0, duration, p: CellParams, rng: RngStream):
+    """Thermalize each row of v0 for exactly `duration`: one OU draw per row, none at 0."""
+    _check_erase_args(v0, duration)
+    return v0 if duration == 0.0 else ou_step(v0, duration, p, rng)
 
 
 def erase(v0, duration, p: CellParams, dt, rng: RngStream):
     """Reconnect the resistor and thermalize for `duration` (no measurement).
 
-    One exact OU transition over ceil(duration/dt)*dt, which is also the
-    recorded duration; `dt` only sets that rounding.  The bath heat
-    follows from the ledger identity alone.
+    One exact OU transition over `duration`, which is also the recorded
+    duration.  `dt` is accepted and ignored: the exact law needs no step,
+    and the benchmark's pool probe (perfbench/layers.py) still passes it
+    positionally.  The bath heat follows from the ledger identity alone.
     """
     v0 = float(v0)
-    v_final, t = _erase_rows(np.array([v0]), duration, p, dt, rng)
-    v_final = v_final.item()
-    return EraseRecord(v_start=v0, v_final=v_final, duration=t,
+    v_final = _erase_rows(np.array([v0]), duration, p, rng).item()
+    return EraseRecord(v_start=v0, v_final=v_final, duration=float(duration),
                        bath_heat=_bath_heat(p.capacitance, v0, v_final))
 
 
@@ -263,16 +264,15 @@ def _write_block(stream, rows, bit, u0, p, dt):
     return _bath_heat(p.capacitance, v_start, target), steps, control
 
 
-def _erase_block(stream, rows, v0, duration, p, dt):
+def _erase_block(stream, rows, v0, duration, p):
     v0 = np.full(rows, float(v0))
-    v_final, _ = _erase_rows(v0, duration, p, dt, stream)
-    return (_bath_heat(p.capacitance, v0, v_final),)
+    return (_bath_heat(p.capacitance, v0, _erase_rows(v0, duration, p, stream)),)
 
 
 def _erasure_block(stream, rows, u0, duration, p, dt):
     bits = stream.integers(0, 2, size=rows)
     _, target, _, _ = _write_rows(bits, u0, p, dt, stream)
-    v_final, _ = _erase_rows(target, duration, p, dt, stream)
+    v_final = _erase_rows(target, duration, p, stream)
     return bits, (v_final >= 0.0).astype(bits.dtype), _bath_heat(p.capacitance, target, v_final)
 
 
@@ -290,11 +290,11 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
                       worker_count=worker_count, stream_offset=stream_offset)
 
 
-def erase_ensemble(v0, duration, p: CellParams, dt, n, master_seed, *,
+def erase_ensemble(v0, duration, p: CellParams, n, master_seed, *,
                    worker_count=1, stream_offset=0):
     """Bath heat of n independent erases from v0 (see erase), as an array."""
-    _check_erase_args(v0, duration, dt)
-    (heat,) = run_blocks(partial(_erase_block, v0=v0, duration=duration, p=p, dt=dt), n, BLOCK,
+    _check_erase_args(v0, duration)
+    (heat,) = run_blocks(partial(_erase_block, v0=v0, duration=duration, p=p), n, BLOCK,
                          master_seed, worker_count=worker_count, stream_offset=stream_offset)
     return heat
 
@@ -320,7 +320,7 @@ def run_erasure_experiment(config: ErasureExperimentConfig) -> list:
             n_trajectories=n,
             mean_Q_env=float(q.mean()),
             se_Q_env=float(q.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-            theory_Q_env=erase_dissipation_theory(config.u0, config.cell),
+            theory_Q_env=erase_dissipation_theory(config.u0, duration, config.cell),
             channel=channel,
             information=remaining_information(channel),
         ))

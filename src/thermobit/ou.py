@@ -74,16 +74,23 @@ def _check_step_args(v, dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
+def _transition(t, p: CellParams):
+    """(mu, s) of the exact OU law over time t: v(t) ~ N(v(0)*mu, s^2).
+
+    mu = exp(-t/tau) and s = sigma_st*sqrt(1 - mu^2), the latter via expm1
+    so that short steps keep their relative precision.
+    """
+    return math.exp(-t / p.tau), p.sigma_st * math.sqrt(-math.expm1(-2.0 * t / p.tau))
+
+
 def ou_step(v, dt, p: CellParams, rng: RngStream):
     """Advance the voltage by `dt` using the exact OU transition.
 
-    Returns v*mu + s*Z with mu = exp(-dt/tau) and
-    s = sigma_st*sqrt(1 - mu^2).  `v` may be a scalar or an array; one
-    standard normal is drawn per element.
+    Returns v*mu + s*Z with (mu, s) from `_transition`.  `v` may be a
+    scalar or an array; one standard normal is drawn per element.
     """
     _check_step_args(v, dt)
-    mu = math.exp(-dt / p.tau)
-    s = p.sigma_st * math.sqrt(1.0 - mu * mu)
+    mu, s = _transition(dt, p)
     return v * mu + s * rng.standard_normal(np.shape(v) or None)
 
 

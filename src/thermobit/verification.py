@@ -53,14 +53,13 @@ def check_equipartition(master_seed):
 
 
 def check_erase_dissipation(master_seed):
-    """Mean erase heat matches (C*u0^2 - kT)/2 within 3 SE for u0 in {s/2, s, 2s}."""
+    """Mean 20-tau erase heat matches (C*u0^2 - kT)/2 within 3 SE for u0 in {s/2, s, 2s}."""
     cell = CellParams.reduced()
     n = 100_000
     details, ok = [], True
     for k, u0 in enumerate((0.5, 1.0, 2.0)):
-        q = erase_ensemble(u0, 20.0 * cell.tau, cell, 0.01 * cell.tau, n, master_seed,
-                           stream_offset=k * n)
-        theory = erase_dissipation_theory(u0, cell)
+        q = erase_ensemble(u0, 20.0 * cell.tau, cell, n, master_seed, stream_offset=k * n)
+        theory = erase_dissipation_theory(u0, 20.0 * cell.tau, cell)
         se = q.std(ddof=1) / math.sqrt(n)
         dev = abs(q.mean() - theory)
         ok &= dev <= 3.0 * se
@@ -250,7 +249,7 @@ def _ledger_block(stream, rows):
     cell = CellParams.reduced()
     u0, duration = 0.1 + 1.1 * stream.uniform(), 3.0 * stream.uniform()
     v_start, target, _, _ = _write_rows(stream.integers(0, 2, size=rows), u0, cell, 0.01, stream)
-    v_final, _ = _erase_rows(target, duration, cell, 0.01, stream)
+    v_final = _erase_rows(target, duration, cell, stream)
     c = cell.capacitance
     e_start, e_target, e_final = (0.5 * c * v * v for v in (v_start, target, v_final))
     write = _bath_heat(c, v_start, target) + (e_target - e_start)

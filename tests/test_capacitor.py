@@ -9,7 +9,7 @@ from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, _er
                                  _first_passage, erase, erase_dissipation_theory, erase_ensemble,
                                  partial_erase_error_prob, run_erasure_experiment, write_bit,
                                  write_ensemble)
-from thermobit.ou import CellParams
+from thermobit.ou import CellParams, _transition
 from thermobit.streams import make_stream
 
 CELL = CellParams.reduced()
@@ -21,17 +21,37 @@ def phi(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def exact_erase_heat(u0, t):
+    # Oracle in reduced units: mean drop of C*V^2/2 when V(t) ~ N(u0*e^-t, 1 - e^-2t).
+    return -math.expm1(-2.0 * t) * (u0 * u0 - 1.0) / 2.0
+
+
 class TestEraseDissipationTheory:
     def test_at_sigma_is_zero(self):
-        assert erase_dissipation_theory(CELL.sigma_st, CELL) == 0.0
+        for t in (0.1, 1.0, math.inf):
+            assert erase_dissipation_theory(CELL.sigma_st, t, CELL) == 0.0
 
     def test_substitutions(self):
-        assert erase_dissipation_theory(0.0, CELL) == -0.5
-        assert erase_dissipation_theory(0.5, CELL) == pytest.approx(-0.375, rel=1e-15)
+        assert erase_dissipation_theory(0.0, math.inf, CELL) == -0.5
+        assert erase_dissipation_theory(0.5, math.inf, CELL) == pytest.approx(-0.375, rel=1e-15)
+        assert erase_dissipation_theory(0.5, 20.0, CELL) == -0.375
+        assert erase_dissipation_theory(0.5, 0.0, CELL) == 0.0
+
+    def test_partial_erase_is_exact(self):
+        # 0.1 tau from 0.5 sigma: -0.0680 kT, not the complete-erase -0.375.
+        assert exact_erase_heat(0.5, 0.1) == pytest.approx(-0.06798, abs=1e-5)
+        for t in (0.01, 0.1, 0.13422549052450547, 1.0, 3.0):
+            for u0 in (0.5, 2.0):
+                assert erase_dissipation_theory(u0, t, CELL) == pytest.approx(
+                    exact_erase_heat(u0, t), rel=1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            erase_dissipation_theory(-1.0, CELL)
+            erase_dissipation_theory(-1.0, 1.0, CELL)
+        with pytest.raises(ValueError):
+            erase_dissipation_theory(0.5, -1.0, CELL)
+        with pytest.raises(ValueError):
+            erase_dissipation_theory(0.5, math.nan, CELL)
 
 
 class TestPartialEraseErrorProb:
@@ -122,12 +142,19 @@ class TestErase:
             erase(0.5, math.inf, CELL, 0.01, rng)
         with pytest.raises(ValueError):
             erase(float("nan"), 1.0, CELL, 0.01, rng)
-        with pytest.raises(ValueError):
-            erase(0.5, 1.0, CELL, 0.0, rng)
+
+    def test_one_exact_draw_over_the_duration_asked(self):
+        # With a unit draw the final state is the OU mean plus one transition SD,
+        # over exactly 0.1345 tau (not 0.14, the next multiple of dt).
+        v0, d = 0.7, 0.1345 * CELL.tau
+        rec = erase(v0, d, CELL, 0.01, OnesStream())
+        assert rec.duration == 0.1345
+        assert rec.v_final == (v0 * math.exp(-d / CELL.tau)
+                               + CELL.sigma_st * math.sqrt(-math.expm1(-2.0 * d / CELL.tau)))
 
     def test_mean_heat_negative_below_sigma(self):
         n = 20_000
-        q = erase_ensemble(0.5, 20.0, CELL, 0.01, n, 20)
+        q = erase_ensemble(0.5, 20.0, CELL, n, 20)
         se = q.std(ddof=1) / math.sqrt(n)
         assert abs(q.mean() - (-0.375)) < 3.0 * se
         assert q.mean() < 0
@@ -137,7 +164,7 @@ class TestErase:
         n = 20_000
         u0 = 0.7
         qw, _, _ = write_ensemble(1, u0, CELL, 0.01, n, 21)
-        qe = erase_ensemble(u0, 20.0, CELL, 0.01, n, 22)
+        qe = erase_ensemble(u0, 20.0, CELL, n, 22)
         se = math.sqrt(qw.var() / n + qe.var() / n)
         assert abs(qw.mean() + qe.mean()) < 3.0 * se
 
@@ -145,8 +172,8 @@ class TestErase:
 @pytest.mark.parametrize("run", [
     pytest.param(lambda: write_ensemble(1, -1.0, CELL, 0.01, 10, 0), id="write-u0-negative"),
     pytest.param(lambda: write_ensemble(1, 0.5, CELL, math.inf, 10, 0), id="write-dt-inf"),
-    pytest.param(lambda: erase_ensemble(math.nan, 1.0, CELL, 0.01, 10, 0), id="erase-v0-nan"),
-    pytest.param(lambda: erase_ensemble(0.5, -1.0, CELL, 0.01, 10, 0), id="erase-duration-neg"),
+    pytest.param(lambda: erase_ensemble(math.nan, 1.0, CELL, 10, 0), id="erase-v0-nan"),
+    pytest.param(lambda: erase_ensemble(0.5, -1.0, CELL, 10, 0), id="erase-duration-neg"),
 ])
 def test_bad_ensemble_input_is_value_error(run):
     # Checked before any block runs, so no EnsembleWorkerError wraps it.
@@ -179,6 +206,18 @@ class TestErasureExperiment:
         assert rep.information.bits == pytest.approx(0.0693792861201491, abs=0.015)
         assert rep.channel.ci_low <= 0.3461915440836959 <= rep.channel.ci_high
 
+    def test_partial_erase_heat_and_error_are_exact(self):
+        # 0.1342 tau is the first non-zero point of the default mi-curve grid;
+        # an erase rounded up to the dt grid runs it as 0.14 tau, 5 SE off.
+        cfg = ErasureExperimentConfig(cell=CELL, u0=0.5, durations=(0.13422549052450547, 1.0),
+                                      n_trajectories=100_000, master_seed=12345, dt=0.01)
+        for rep in run_erasure_experiment(cfg):
+            exact = exact_erase_heat(0.5, rep.duration)
+            assert rep.theory_Q_env == pytest.approx(exact, rel=1e-12)
+            assert abs(rep.mean_Q_env - exact) < 3.0 * rep.se_Q_env
+            pe = partial_erase_error_prob(0.5, rep.duration, CELL)
+            assert rep.channel.ci_low <= pe <= rep.channel.ci_high
+
     def test_information_decays_with_duration(self):
         cfg = ErasureExperimentConfig(cell=CELL, u0=1.0,
                                       durations=(0.0, 0.5, 2.0, 20.0),
@@ -206,6 +245,13 @@ class TestErasureExperiment:
         with pytest.raises(ValueError):
             ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0,),
                                     n_trajectories=10, master_seed=0, dt=math.inf)
+
+
+class OnesStream:
+    """Stub stream whose every standard normal is exactly 1."""
+
+    def standard_normal(self, size=None):
+        return np.ones(size)
 
 
 class RecordingStream:
@@ -252,19 +298,13 @@ class TestBlockKernels:
         v[:3] = target[:3]  # rows starting on the target take no steps
         rec = RecordingStream(stream)
         got = _first_passage(v, target, CELL, dt, rec, max_duration=math.inf)
-        mu = math.exp(-dt / CELL.tau)
-        s = CELL.sigma_st * math.sqrt(1.0 - mu * mu)
+        mu, s = _transition(dt, CELL)
         assert len(rec.draws) > 1  # several rounds, with rows dropping out
         assert got.tolist() == loop_first_passage(v, target, rec.draws, mu, s)
         assert got[:3].tolist() == [0, 0, 0]
 
     def test_landing_on_the_target_is_a_crossing(self):
-        class OnesStream:
-            def standard_normal(self, size=None):
-                return np.ones(size)
-
-        mu = math.exp(-0.01 / CELL.tau)
-        s = CELL.sigma_st * math.sqrt(1.0 - mu * mu)
+        _, s = _transition(0.01, CELL)
         # From 0, a unit draw lands exactly on the target s after one step.
         got = _first_passage(np.array([0.0]), np.array([s]), CELL, 0.01, OnesStream(),
                              max_duration=math.inf)
@@ -272,8 +312,7 @@ class TestBlockKernels:
 
     def test_one_draw_erase_moments_at_one_tau(self):
         n = 100_000
-        v_final, t = _erase_rows(np.ones(n), CELL.tau, CELL, 0.01, make_stream(31, 0))
-        assert t == pytest.approx(CELL.tau, rel=1e-12)
+        v_final = _erase_rows(np.ones(n), CELL.tau, CELL, make_stream(31, 0))
         mean, var = math.exp(-1.0), 1.0 - math.exp(-2.0)
         assert abs(v_final.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(v_final.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))

@@ -57,6 +57,7 @@ class TestExitCodes:
         ["capacitor", "mi-curve", "--durations-tau", "nan"],
         ["capacitor", "write", "--unit-mode", "si", "--temperature-K", "-1"],
         ["capacitor", "write", "--unit-mode", "si", "--capacitance-F", "nan"],
+        ["capacitor", "erase", "--u0-sigma", "-1"],
     ])
     def test_bad_capacitor_input_is_config_error(self, tmp_path, run_cli, argv):
         code, _, err = run_cli(argv + ["--n", "10", "--output-dir", str(tmp_path)])
@@ -75,11 +76,19 @@ class TestExitCodes:
         ["doublewell", "relax", "--side", "2"],
         ["doublewell", "relax", "--t-total", "1e300"],
         ["doublewell", "escape", "--max-time", "1e308", "--dt", "1e-5"],
+        ["doublewell", "heated", "--side", "3"],
     ])
     def test_bad_doublewell_input_is_config_error(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--n", "100", "--output-dir", str(tmp_path)]) == 3
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_erase_has_no_dt_option(self, capsys):
+        # An erase is one exact draw over its duration, so it takes no step.
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["capacitor", "erase", "--dt-tau", "0.01"])
+        assert exc_info.value.code == 2
+        assert "--dt-tau" in capsys.readouterr().err
 
     def test_successful_run_is_zero(self, tmp_path):
         # The one subprocess run: `python -m thermobit.cli` reaches main()

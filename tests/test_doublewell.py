@@ -161,16 +161,15 @@ class TestSampleWell:
 
     def test_conditional_mean_potential(self):
         p = DoubleWellParams.reduced(2.0)
-        s = make_stream(33, 0)
         n = 100_000
-        u = p.potential(np.array([sample_one(p, 1, s) for _ in range(n)]))
+        u = p.potential(doublewell._sample_rows(p, 1, make_stream(33, 0), n))
         oracle = boltzmann_mean_potential(p, side=1)
         assert abs(u.mean() - oracle) < 3.0 * u.std(ddof=1) / math.sqrt(n)
 
     def test_mirror_symmetry(self):
         p = DoubleWellParams.reduced(2.0)
-        a = np.array([sample_one(p, 1, make_stream(34, i)) for i in range(20_000)])
-        b = np.array([sample_one(p, 0, make_stream(35, i)) for i in range(20_000)])
+        a = doublewell._sample_rows(p, 1, make_stream(34, 0), 20_000)
+        b = doublewell._sample_rows(p, 0, make_stream(35, 0), 20_000)
         assert abs(a.mean() + b.mean()) < 4.0 * a.std() / math.sqrt(a.size)
 
     def test_rejects_bad_side(self):
