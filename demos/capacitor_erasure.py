@@ -47,7 +47,7 @@ print("=== 3. Information decay during an incomplete erase ===")
 config = ErasureExperimentConfig(
     cell=cell, u0=1.0,
     durations=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
-    n_trajectories=n, master_seed=102, dt=0.01 * cell.tau,
+    n_trajectories=n, master_seed=102,
 )
 print(f"{'t/tau':>6} {'p_e sim':>8} {'p_e theory':>11} {'bits left':>10}")
 for rep in run_erasure_experiment(config):

@@ -82,7 +82,7 @@ class EraseRecord:
 
 @dataclass(frozen=True)
 class ErasureReport:
-    """Ensemble statistics of write -> erase(duration) -> read."""
+    """Ensemble statistics of latch at +-u0 -> erase(duration) -> read."""
 
     duration: float
     n_trajectories: int
@@ -241,18 +241,18 @@ def erase(v0, duration, p: CellParams, dt, rng: RngStream):
 
 @dataclass(frozen=True)
 class ErasureExperimentConfig:
-    """Configuration for the write/erase/read information-decay experiment."""
+    """Configuration for the latch/erase/read information-decay experiment."""
 
     cell: CellParams
     u0: float
     durations: tuple
     n_trajectories: int
     master_seed: int
-    dt: float
     worker_count: int = 1
 
     def __post_init__(self):
-        _check_write_args(self.u0, self.dt)
+        if not (math.isfinite(self.u0) and self.u0 > 0.0):
+            raise ValueError(f"u0 must be positive, got {self.u0!r}")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
         if not all(0.0 <= d < math.inf for d in self.durations):
@@ -269,9 +269,10 @@ def _erase_block(stream, rows, v0, duration, p):
     return (_bath_heat(p.capacitance, v0, _erase_rows(v0, duration, p, stream)),)
 
 
-def _erasure_block(stream, rows, u0, duration, p, dt):
+def _erasure_block(stream, rows, u0, duration, p):
+    # A write ends snapped to +-u0 and the OU erase is Markov: only that level matters.
     bits = stream.integers(0, 2, size=rows)
-    _, target, _, _ = _write_rows(bits, u0, p, dt, stream)
+    target = np.where(bits == 1, u0, -u0)
     v_final = _erase_rows(target, duration, p, stream)
     return bits, (v_final >= 0.0).astype(bits.dtype), _bath_heat(p.capacitance, target, v_final)
 
@@ -300,7 +301,7 @@ def erase_ensemble(v0, duration, p: CellParams, n, master_seed, *,
 
 
 def run_erasure_experiment(config: ErasureExperimentConfig) -> list:
-    """Write random bits, erase for each duration, read, and tally.
+    """Latch random bits at +-u0, erase for each duration, read, and tally.
 
     Returns one ErasureReport per duration.  Each duration owns a
     disjoint range of block stream indices, so results are reproducible
@@ -309,8 +310,7 @@ def run_erasure_experiment(config: ErasureExperimentConfig) -> list:
     reports = []
     n = config.n_trajectories
     for d_idx, duration in enumerate(config.durations):
-        task = partial(_erasure_block, u0=config.u0, duration=float(duration), p=config.cell,
-                       dt=config.dt)
+        task = partial(_erasure_block, u0=config.u0, duration=float(duration), p=config.cell)
         bits, reads, q = run_blocks(task, n, BLOCK, config.master_seed,
                                     worker_count=config.worker_count,
                                     stream_offset=d_idx * -(-n // BLOCK))

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,16 +64,8 @@ class ExperimentConfig:
             raise ConfigError("duration grid must be sorted ascending")
 
     def as_dict(self):
-        out = {
-            "subcommand": self.subcommand,
-            "unit_mode": self.unit_mode,
-            "n_trajectories": self.n_trajectories,
-            "master_seed": self.master_seed,
-            "worker_count": self.worker_count,
-            "output_dir": self.output_dir,
-        }
-        out.update(self.options)
-        return out
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "options"}
+        return {**out, **self.options}
 
 
 def _parse_bool(text):
@@ -107,8 +99,8 @@ _CELL_OPTS = [
     ("capacitance-F", float, 1e-12, "cell capacitance (si mode)"),
 ]
 
-# The write's voltmeter sampling step; an erase is one exact draw and has
-# none.  0.01 tau keeps the write's first-passage overshoot bias negligible.
+# The write's voltmeter sampling step; erase and mi-curve walk no write and
+# have none.  0.01 tau keeps the write's first-passage overshoot bias negligible.
 _DT_OPT = ("dt-tau", float, 0.01, "write sampling step as a fraction of tau")
 
 
@@ -198,16 +190,11 @@ def _run_capacitor_erase(cfg, cell):
 
 def _run_capacitor_mi_curve(cfg, cell):
     o = cfg.options
-    exp_cfg = cap_mod.ErasureExperimentConfig(
-        cell=cell,
-        u0=o["u0_sigma"] * cell.sigma_st,
+    reports = cap_mod.run_erasure_experiment(cap_mod.ErasureExperimentConfig(
+        cell=cell, u0=o["u0_sigma"] * cell.sigma_st,
         durations=tuple(d * cell.tau for d in o["durations_tau"]),
-        n_trajectories=cfg.n_trajectories,
-        master_seed=cfg.master_seed,
-        dt=o["dt_tau"] * cell.tau,
-        worker_count=cfg.worker_count,
-    )
-    reports = cap_mod.run_erasure_experiment(exp_cfg)
+        n_trajectories=cfg.n_trajectories, master_seed=cfg.master_seed,
+        worker_count=cfg.worker_count))
     columns = ["duration_tau", "p_e_hat", "ci_low", "ci_high", "info_bits",
                "mean_Q_env_kT", "se_Q_env_kT"]
     rows = [[rep.duration / cell.tau, rep.channel.p_e_hat, rep.channel.ci_low,
@@ -340,8 +327,7 @@ _SUBCOMMANDS = {
     ("capacitor", "mi-curve"): {
         "runner": _run_capacitor_mi_curve,
         "cell": True,
-        "opts": _CELL_OPTS + [_DT_OPT,
-                              ("u0-sigma", float, 1.0, "written level in units of sigma_st"),
+        "opts": _CELL_OPTS + [("u0-sigma", float, 1.0, "latched level in units of sigma_st"),
                               ("durations-tau", list, _default_durations,
                                "comma-separated erase durations in units of tau")],
     },
@@ -431,8 +417,10 @@ def _run_verify(args, file_cfg, output_dir):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed([i for i, a in enumerate(argv[:-1]) if a == "--durations-tau"]):
+        argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]  # else argparse reads "-1,1" as a flag
+    args = build_parser().parse_args(argv)
 
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}

@@ -46,6 +46,8 @@ BLOCK = 2048
 # EM steps per noise draw; a round's noise is a (_ROUND, rows) array.
 _ROUND = 512
 
+_MAX_TRAJ_STEPS = 10 ** 10  # per relax or heated run; the reason is in _relax
+
 
 class EscapeInfeasibleError(RuntimeError):
     """Barrier too high for the configured simulation time budget."""
@@ -231,7 +233,12 @@ def _log_step_grid(n_steps):
 
 
 def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
-    """Series of an ensemble relaxing at `temperature`, and each trajectory's U change."""
+    """Series of an ensemble relaxing at `temperature`, and each trajectory's U change.
+
+    Refuses n_traj*ceil(t_total/dt) > _MAX_TRAJ_STEPS = 1e10 before any block
+    runs: 200-400 s at 20-40 ns per trajectory-step, and over 50x the largest
+    default run (heated, n = 1e4: 1.28e8); t_total = 1e12 would never end.
+    """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side!r}")
     if n_traj < 100:
@@ -239,7 +246,10 @@ def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
     if not 0.0 < t_total < math.inf:
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
 
-    record = _log_step_grid(_step_count(p, t_total, dt, "t_total"))
+    n_steps = _step_count(p, t_total, dt, "t_total")
+    if n_traj * n_steps > _MAX_TRAJ_STEPS:
+        raise ValueError(f"{n_traj} x {n_steps} trajectory-steps exceed {_MAX_TRAJ_STEPS:.0e}")
+    record = _log_step_grid(n_steps)
     task = partial(_relax_block, p=p, side=side, dt=dt, temperature=temperature, record=record)
     (x,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     u = p.potential(x)

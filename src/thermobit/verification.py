@@ -90,8 +90,7 @@ def check_incomplete_erasure(master_seed):
     cell = CellParams.reduced()
     cfg = ErasureExperimentConfig(cell=cell, u0=1.0,
                                   durations=(cell.tau, 20.0 * cell.tau),
-                                  n_trajectories=100_000, master_seed=master_seed,
-                                  dt=0.01 * cell.tau)
+                                  n_trajectories=100_000, master_seed=master_seed)
     short, full = run_erasure_experiment(cfg)
     pe_theory = partial_erase_error_prob(1.0, cell.tau, cell)
     info_theory = bit_information(pe_theory)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, _erase_rows,
-                                 _first_passage, erase, erase_dissipation_theory, erase_ensemble,
-                                 partial_erase_error_prob, run_erasure_experiment, write_bit,
-                                 write_ensemble)
+from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, _bath_heat,
+                                 _erase_rows, _erasure_block, _first_passage, erase,
+                                 erase_dissipation_theory, erase_ensemble, partial_erase_error_prob,
+                                 run_erasure_experiment, write_bit, write_ensemble)
 from thermobit.ou import CellParams, _transition
 from thermobit.streams import make_stream
 
@@ -194,14 +194,14 @@ def test_ledger_identity_property(v0, duration, seed):
 class TestErasureExperiment:
     def test_zero_duration_keeps_full_information(self):
         cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(0.0,),
-                                      n_trajectories=500, master_seed=23, dt=0.01)
+                                      n_trajectories=500, master_seed=23)
         (rep,) = run_erasure_experiment(cfg)
         assert rep.channel.p_e_hat == 0.0
         assert rep.information.bits == 1.0
 
     def test_partial_erase_information(self):
         cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(CELL.tau,),
-                                      n_trajectories=20_000, master_seed=24, dt=0.01)
+                                      n_trajectories=20_000, master_seed=24)
         (rep,) = run_erasure_experiment(cfg)
         assert rep.information.bits == pytest.approx(0.0693792861201491, abs=0.015)
         assert rep.channel.ci_low <= 0.3461915440836959 <= rep.channel.ci_high
@@ -210,7 +210,7 @@ class TestErasureExperiment:
         # 0.1342 tau is the first non-zero point of the default mi-curve grid;
         # an erase rounded up to the dt grid runs it as 0.14 tau, 5 SE off.
         cfg = ErasureExperimentConfig(cell=CELL, u0=0.5, durations=(0.13422549052450547, 1.0),
-                                      n_trajectories=100_000, master_seed=12345, dt=0.01)
+                                      n_trajectories=100_000, master_seed=12345)
         for rep in run_erasure_experiment(cfg):
             exact = exact_erase_heat(0.5, rep.duration)
             assert rep.theory_Q_env == pytest.approx(exact, rel=1e-12)
@@ -221,7 +221,7 @@ class TestErasureExperiment:
     def test_information_decays_with_duration(self):
         cfg = ErasureExperimentConfig(cell=CELL, u0=1.0,
                                       durations=(0.0, 0.5, 2.0, 20.0),
-                                      n_trajectories=4000, master_seed=25, dt=0.01)
+                                      n_trajectories=4000, master_seed=25)
         reports = run_erasure_experiment(cfg)
         info = [r.information.bits for r in reports]
         # Non-increasing up to statistical noise.
@@ -232,19 +232,19 @@ class TestErasureExperiment:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ErasureExperimentConfig(cell=CELL, u0=-1.0, durations=(1.0,),
-                                    n_trajectories=10, master_seed=0, dt=0.01)
+                                    n_trajectories=10, master_seed=0)
         with pytest.raises(ValueError):
             ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(-1.0,),
-                                    n_trajectories=10, master_seed=0, dt=0.01)
+                                    n_trajectories=10, master_seed=0)
         with pytest.raises(ValueError):
             ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0,),
-                                    n_trajectories=0, master_seed=0, dt=0.01)
+                                    n_trajectories=0, master_seed=0)
         with pytest.raises(ValueError):
             ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(float("nan"),),
-                                    n_trajectories=10, master_seed=0, dt=0.01)
+                                    n_trajectories=10, master_seed=0)
         with pytest.raises(ValueError):
-            ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0,),
-                                    n_trajectories=10, master_seed=0, dt=math.inf)
+            ErasureExperimentConfig(cell=CELL, u0=math.inf, durations=(1.0,),
+                                    n_trajectories=10, master_seed=0)
 
 
 class OnesStream:
@@ -255,16 +255,25 @@ class OnesStream:
 
 
 class RecordingStream:
-    """Passes draws through from a real stream and keeps each array drawn."""
+    """Passes draws through from a real stream and keeps each array drawn.
+
+    Normals go to `draws`, integers to `integer_draws`.
+    """
 
     def __init__(self, stream):
         self.stream = stream
         self.draws = []
+        self.integer_draws = []
 
     def standard_normal(self, size=None):
         z = self.stream.standard_normal(size)
         self.draws.append(z)
         return z
+
+    def integers(self, low, high=None, size=None):
+        k = self.stream.integers(low, high, size=size)
+        self.integer_draws.append(k)
+        return k
 
 
 def loop_first_passage(v, target, draws, mu, s):
@@ -317,8 +326,28 @@ class TestBlockKernels:
         assert abs(v_final.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(v_final.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))
 
+    @pytest.mark.parametrize("duration", [0.0, 0.3])
+    def test_erasure_block_erases_from_the_latched_level(self, duration):
+        # One bit and, past duration 0, one normal per row: the erase starts
+        # at the written level +-u0 itself, with no write simulated first.
+        rows, u0 = 64, 0.8
+        rec = RecordingStream(make_stream(34, 0))
+        bits, reads, heat = _erasure_block(rec, rows, u0, duration, CELL)
+        assert len(rec.integer_draws) == 1 and rec.integer_draws[0] is bits
+        assert bits.shape == (rows,)
+        target = np.where(bits == 1, u0, -u0)
+        if duration == 0.0:
+            assert rec.draws == []
+            v_final = target
+        else:
+            assert [z.shape for z in rec.draws] == [(rows,)]
+            mu, s = _transition(duration, CELL)
+            v_final = target * mu + s * rec.draws[0]
+        assert np.array_equal(heat, _bath_heat(CELL.capacitance, target, v_final))
+        assert np.array_equal(reads, (v_final >= 0.0).astype(bits.dtype))
+
     def test_equal_durations_use_distinct_streams(self):
         cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0, 1.0),
-                                      n_trajectories=300, master_seed=33, dt=0.01)
+                                      n_trajectories=300, master_seed=33)
         first, second = run_erasure_experiment(cfg)
         assert first.mean_Q_env != second.mean_Q_env

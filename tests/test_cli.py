@@ -58,6 +58,7 @@ class TestExitCodes:
         ["capacitor", "write", "--unit-mode", "si", "--temperature-K", "-1"],
         ["capacitor", "write", "--unit-mode", "si", "--capacitance-F", "nan"],
         ["capacitor", "erase", "--u0-sigma", "-1"],
+        ["capacitor", "mi-curve", "--durations-tau", "-1,1"],
     ])
     def test_bad_capacitor_input_is_config_error(self, tmp_path, run_cli, argv):
         code, _, err = run_cli(argv + ["--n", "10", "--output-dir", str(tmp_path)])
@@ -77,6 +78,7 @@ class TestExitCodes:
         ["doublewell", "relax", "--t-total", "1e300"],
         ["doublewell", "escape", "--max-time", "1e308", "--dt", "1e-5"],
         ["doublewell", "heated", "--side", "3"],
+        ["doublewell", "relax", "--t-total", "1e12"],
     ])
     def test_bad_doublewell_input_is_config_error(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--n", "100", "--output-dir", str(tmp_path)]) == 3
@@ -87,6 +89,13 @@ class TestExitCodes:
         # An erase is one exact draw over its duration, so it takes no step.
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["capacitor", "erase", "--dt-tau", "0.01"])
+        assert exc_info.value.code == 2
+        assert "--dt-tau" in capsys.readouterr().err
+
+    def test_mi_curve_has_no_dt_option(self, capsys):
+        # The mi-curve erases from the latched +-u0 and simulates no write.
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["capacitor", "mi-curve", "--dt-tau", "0.01"])
         assert exc_info.value.code == 2
         assert "--dt-tau" in capsys.readouterr().err
 
