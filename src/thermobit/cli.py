@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import bounds as bounds_mod
 from . import capacitor as cap_mod
 from . import doublewell as dw_mod
 from . import infotheory as info_mod
-from .ensemble import EnsembleWorkerError
+from .ensemble import MAX_WORKERS, EnsembleWorkerError
 from .ou import CellParams
 from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
 
@@ -53,8 +54,9 @@ class ExperimentConfig:
             raise ConfigError(f"unit_mode must be 'reduced' or 'si', got {self.unit_mode!r}")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
-        if self.worker_count < 1:
-            raise ConfigError("worker_count must be >= 1")
+        if not 1 <= self.worker_count <= MAX_WORKERS:
+            raise ConfigError(f"worker_count must lie in [1, {MAX_WORKERS}], "
+                              f"got {self.worker_count}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         # Every other value is checked by the library call it feeds, before
@@ -100,7 +102,10 @@ _CELL_OPTS = [
 ]
 
 # The write's voltmeter sampling step; erase and mi-curve walk no write and
-# have none.  0.01 tau keeps the write's first-passage overshoot bias negligible.
+# have none.  Any step leaves the write's heat exact, since the write snaps
+# to u0.  0.01 tau does not make its duration unbiased: the level is checked
+# only every dt, so at u0 = sigma the mean duration reads about 14% above the
+# continuous mean first-passage time.
 _DT_OPT = ("dt-tau", float, 0.01, "write sampling step as a fraction of tau")
 
 
@@ -379,7 +384,9 @@ _SUBCOMMANDS = {
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="thermobit",
+    # No prefix matching: "--durations" is refused rather than read as
+    # --durations-tau, so main's fuse below sees every spelling of the flag.
+    parser = argparse.ArgumentParser(prog="thermobit", allow_abbrev=False,
                                      description="Thermal-memory erasure experiments")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
@@ -390,13 +397,14 @@ def build_parser():
     groups = {}
     for (group, sub), spec in _SUBCOMMANDS.items():
         if group not in groups:
-            gp = top.add_parser(group)
+            gp = top.add_parser(group, allow_abbrev=False)
             groups[group] = gp.add_subparsers(dest="subcommand", required=True)
-        sp = groups[group].add_parser(sub, parents=[common])
+        sp = groups[group].add_parser(sub, parents=[common], allow_abbrev=False)
         _add_opts(sp, spec["opts"] + _COMMON_OPTS)
         sp.set_defaults(_spec=spec, _name=(group, sub))
 
-    vp = top.add_parser("verify", help="run the acceptance suite", parents=[common])
+    vp = top.add_parser("verify", help="run the acceptance suite", parents=[common],
+                        allow_abbrev=False)
     vp.add_argument("--master-seed", dest="master_seed", type=int, default=None)
     vp.set_defaults(_name=("verify", None))
     return parser
@@ -455,7 +463,8 @@ def main(argv=None):
         manifest_path = os.path.join(output_dir, base + ".manifest.json")
         write_manifest(manifest_path, cfg.as_dict(), [csv_path])
     except (cap_mod.WriteTimeoutError, dw_mod.EscapeInfeasibleError,
-            bounds_mod.NoErasureError, EnsembleWorkerError, OSError) as exc:
+            bounds_mod.NoErasureError, EnsembleWorkerError, BrokenProcessPool,
+            OSError) as exc:
         print(f"thermobit: runtime error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

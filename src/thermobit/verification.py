@@ -202,27 +202,33 @@ def check_exact_formulas(master_seed):
 
 
 _DETERMINISM_RUNS = [
-    ["capacitor", "write", "--n", "300"],
-    ["capacitor", "erase", "--n", "300", "--duration-tau", "5"],
-    ["capacitor", "mi-curve", "--n", "200", "--durations-tau", "0,1,5"],
+    ("capacitor", "write", "--n", "300"),
+    ("capacitor", "erase", "--n", "300", "--duration-tau", "5"),
+    ("capacitor", "mi-curve", "--n", "200", "--durations-tau", "0,1,5"),
     # 2 * BLOCK + 1 trajectories: three double-well blocks, the last partial.
-    ["doublewell", "relax", "--n", str(2 * BLOCK + 1), "--t-total", "2"],
-    ["doublewell", "heated", "--n", str(2 * BLOCK + 1), "--t-total", "2"],
-    ["doublewell", "escape", "--n", str(2 * BLOCK + 1)],
-    ["bounds", "brillouin"],
-    ["bounds", "anderson"],
-    ["bounds", "icecube"],
-    ["info", "eval", "--p-e", "0.25"],
+    ("doublewell", "relax", "--n", str(2 * BLOCK + 1), "--t-total", "2"),
+    ("doublewell", "heated", "--n", str(2 * BLOCK + 1), "--t-total", "2"),
+    ("doublewell", "escape", "--n", str(2 * BLOCK + 1)),
+    ("bounds", "brillouin"),
+    ("bounds", "anderson"),
+    ("bounds", "icecube"),
+    ("info", "eval", "--p-e", "0.25"),
 ]
 
 
 def check_determinism(master_seed):
-    """Every subcommand emits identical CSV bytes for 1, 4, and 8 workers."""
-    failures = []
+    """Every subcommand emits identical CSV bytes for 1, 4, and 8 workers.
+
+    The worker count is the outer loop, so that the one live pool (see
+    `ensemble`) is forked once per count, not once per subcommand.
+    """
+    blobs = {argv: [] for argv in _DETERMINISM_RUNS}
+    failures = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in _DETERMINISM_RUNS:
-            blobs = []
-            for workers in (1, 4, 8):
+        for workers in (1, 4, 8):
+            for argv in _DETERMINISM_RUNS:
+                if argv in failures:
+                    continue
                 outdir = os.path.join(tmp, "_".join(argv[:2]), f"w{workers}")
                 full = list(argv) + ["--output-dir", outdir,
                                      "--master-seed", str(master_seed)]
@@ -231,16 +237,17 @@ def check_determinism(master_seed):
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(full)
                 if rc != 0:
-                    failures.append(f"{' '.join(argv)}: exit {rc}")
-                    break
+                    failures[argv] = f"{' '.join(argv)}: exit {rc}"
+                    continue
                 csvs = sorted(f for f in os.listdir(outdir) if f.endswith(".csv"))
-                blobs.append(b"".join(open(os.path.join(outdir, f), "rb").read()
-                                      for f in csvs))
-            else:
-                if len(set(blobs)) != 1:
-                    failures.append(f"{' '.join(argv)}: CSV bytes differ across workers")
+                blobs[argv].append(b"".join(open(os.path.join(outdir, f), "rb").read()
+                                            for f in csvs))
+    for argv in _DETERMINISM_RUNS:
+        if argv not in failures and len(set(blobs[argv])) != 1:
+            failures[argv] = f"{' '.join(argv)}: CSV bytes differ across workers"
     ok = not failures
-    return ok, "all subcommands byte-identical for workers 1/4/8" if ok else "; ".join(failures)
+    detail = "; ".join(failures[argv] for argv in _DETERMINISM_RUNS if argv in failures)
+    return ok, "all subcommands byte-identical for workers 1/4/8" if ok else detail
 
 
 def _ledger_block(stream, rows):

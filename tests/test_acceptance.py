@@ -7,6 +7,8 @@ the same checks without pytest).  The last tests pin the quadrature
 oracle that criterion 6 compares against.
 """
 
+import os
+
 import pytest
 
 from thermobit import verification
@@ -35,3 +37,38 @@ def test_quadrature_mfpt_high_barrier_kramers_limit():
     p = DoubleWellParams.reduced(20.0)
     ratio = 2.0 * verification._quadrature_mfpt(20.0) / p.kramers_time_estimate()
     assert ratio == pytest.approx(1.0, abs=0.03)
+
+
+def _fake_main(calls, fail):
+    """Stand in for cli.main: record each run, write one CSV of its argv sans --workers."""
+    def main(argv):
+        calls.append(argv)
+        if argv[:2] == fail:
+            return 3
+        out = argv[argv.index("--output-dir") + 1]
+        os.makedirs(out)
+        cut = argv.index("--workers") if "--workers" in argv else len(argv)
+        with open(os.path.join(out, "run.csv"), "w") as fh:
+            fh.write(" ".join(argv[:argv.index("--output-dir")] + argv[cut + 2:]))
+        return 0
+    return main
+
+
+def test_determinism_forks_one_pool_per_worker_count(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verification.cli, "main", _fake_main(calls, fail=None))
+    assert verification.check_determinism(MASTER_SEED) == (
+        True, "all subcommands byte-identical for workers 1/4/8")
+    counts = [int(argv[argv.index("--workers") + 1]) for argv in calls if "--workers" in argv]
+    # One switch per count: the live pool is replaced twice, not twice per subcommand.
+    assert counts == sorted(counts) and sorted(set(counts)) == [1, 4, 8]
+    assert len(calls) == 3 * len(verification._DETERMINISM_RUNS)
+
+
+def test_determinism_reports_a_failed_run_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verification.cli, "main", _fake_main(calls, fail=["capacitor", "erase"]))
+    ok, detail = verification.check_determinism(MASTER_SEED)
+    assert not ok
+    assert detail == "capacitor erase --n 300 --duration-tau 5: exit 3"
+    assert sum(argv[:2] == ["capacitor", "erase"] for argv in calls) == 1

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from thermobit import cli, doublewell, verification
+from thermobit import capacitor, cli, doublewell, ensemble, verification
 from thermobit.capacitor import BLOCK
 
 
@@ -59,11 +60,40 @@ class TestExitCodes:
         ["capacitor", "write", "--unit-mode", "si", "--capacitance-F", "nan"],
         ["capacitor", "erase", "--u0-sigma", "-1"],
         ["capacitor", "mi-curve", "--durations-tau", "-1,1"],
+        ["capacitor", "write", "--workers", str(ensemble.MAX_WORKERS + 1)],
     ])
-    def test_bad_capacitor_input_is_config_error(self, tmp_path, run_cli, argv):
+    def test_bad_capacitor_input_is_config_error(self, tmp_path, monkeypatch, run_cli, argv):
+        # Bad input is refused before any process starts: no pool is built.
+        built = []
+        monkeypatch.setattr(ensemble, "_live", None)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor",
+                            lambda **kwargs: built.append(kwargs))
         code, _, err = run_cli(argv + ["--n", "10", "--output-dir", str(tmp_path)])
         assert code == 3
         assert "config error" in err
+        assert not list(tmp_path.glob("*.csv"))
+        assert not built
+
+    @pytest.mark.parametrize("argv", [
+        ["capacitor", "mi-curve", "--durations", "-1,1"],
+        ["capacitor", "write", "--u0", "1"],
+        ["doublewell", "relax", "--t-tot", "5"],
+    ])
+    def test_flag_prefix_is_usage_error(self, capsys, argv):
+        # No prefix of a flag stands for the flag.
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[2:]) in capsys.readouterr().err
+
+    def test_dead_worker_is_runtime_error(self, tmp_path, monkeypatch, run_cli):
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a worker died")
+        monkeypatch.setattr(capacitor, "write_ensemble", broken)
+        code, _, err = run_cli(["capacitor", "write", "--n", "10", "--workers", "2",
+                                "--output-dir", str(tmp_path)])
+        assert code == 4
+        assert "runtime error: a worker died" in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv", [

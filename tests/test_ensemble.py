@@ -1,9 +1,14 @@
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
 import pytest
 
-from thermobit.ensemble import EnsembleWorkerError, run_blocks, run_parallel_ensemble
+from thermobit import ensemble
+from thermobit.ensemble import (MAX_WORKERS, EnsembleWorkerError, run_blocks,
+                                run_parallel_ensemble)
 from thermobit.streams import make_stream
 
 
@@ -23,6 +28,17 @@ def block_keys(stream, rows, fail_at=None):
         raise ValueError("boom")
     keys = np.stack([np.full(rows, stream.stream_index), np.arange(rows)])
     return stream.standard_normal(rows), keys
+
+
+def die_at(stream, rows, at):
+    """Kill the worker process outright at block `at`, as a crash would."""
+    if stream.stream_index == at:
+        os._exit(1)
+    return (stream.standard_normal(rows),)
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a process pool was constructed")
 
 
 class TestRunParallelEnsemble:
@@ -50,11 +66,16 @@ class TestRunParallelEnsemble:
         with pytest.raises(EnsembleWorkerError):
             run_parallel_ensemble(fail_at_index_three, 10, master_seed=63, worker_count=2)
 
-    def test_rejects_bad_counts(self):
+    def test_rejects_bad_counts(self, monkeypatch):
         with pytest.raises(ValueError):
             run_parallel_ensemble(draw_one, 0, master_seed=0)
         with pytest.raises(ValueError):
             run_parallel_ensemble(draw_one, 5, master_seed=0, worker_count=0)
+        # Above the cap the count is refused before any process starts.
+        monkeypatch.setattr(ensemble, "_live", None)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", refuse_pool)
+        with pytest.raises(ValueError, match="worker_count"):
+            run_parallel_ensemble(draw_one, 5, master_seed=0, worker_count=MAX_WORKERS + 1)
 
 
 class TestRunBlocks:
@@ -81,3 +102,51 @@ class TestRunBlocks:
                 run_blocks(partial(block_keys, fail_at=offset + full_blocks), n, block, seed,
                            worker_count=workers, stream_offset=offset)
             assert exc_info.value.stream_index == offset + full_blocks
+
+
+class TestPool:
+    """One pool lives across ensembles: reused, replaced, or dropped when broken."""
+
+    N, BLOCK, SEED = 1000, 100, 65
+
+    def serial(self):
+        return run_blocks(block_keys, self.N, self.BLOCK, self.SEED)
+
+    def pooled(self, task=block_keys, workers=2):
+        return run_blocks(task, self.N, self.BLOCK, self.SEED, worker_count=workers)
+
+    def assert_equal(self, got, want):
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+
+    def test_calls_share_one_executor(self):
+        want = self.serial()
+        self.assert_equal(self.pooled(), want)
+        pool = ensemble._live[1]
+        self.assert_equal(self.pooled(), want)
+        assert ensemble._live == (2, pool)
+
+    def test_task_error_keeps_the_pool(self):
+        self.pooled()
+        pool = ensemble._live[1]
+        with pytest.raises(EnsembleWorkerError) as exc_info:
+            self.pooled(partial(block_keys, fail_at=4))
+        assert exc_info.value.stream_index == 4
+        self.assert_equal(self.pooled(), self.serial())
+        assert ensemble._live == (2, pool)
+
+    def test_dead_worker_gives_a_fresh_pool(self):
+        self.pooled()
+        pool = ensemble._live[1]
+        with pytest.raises(BrokenProcessPool):
+            self.pooled(partial(die_at, at=3))
+        self.assert_equal(self.pooled(), self.serial())
+        assert ensemble._live[1] is not pool
+
+    def test_changing_the_count_stops_the_old_workers(self):
+        self.pooled(workers=4)
+        ensemble._pool(2)  # joins the four workers; starts none until work comes
+        assert not multiprocessing.active_children()
+        self.assert_equal(self.pooled(workers=2), self.serial())
+        assert ensemble._live[0] == 2
+        assert len(multiprocessing.active_children()) <= 2
