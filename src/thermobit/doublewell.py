@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .ensemble import run_blocks
 from .ou import BOLTZMANN
@@ -138,7 +137,8 @@ def _boltzmann_grid(p: DoubleWellParams):
     span = p.well_position * math.sqrt(1.0 + math.sqrt(40.0 * kT / p.barrier_height))
     x = np.linspace(-span, span, 16385)
     w = np.exp(-p.potential(x) / kT)
-    cdf = cumulative_trapezoid(w, x, initial=0.0)
+    # Cumulative trapezoid rule, the expression scipy's cumulative_trapezoid evaluates.
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (w[1:] + w[:-1]) / 2.0)))
     cdf /= cdf[-1]
     return x, cdf
 

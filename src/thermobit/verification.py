@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from . import cli
 from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
@@ -127,13 +126,16 @@ def _quadrature_mfpt(barrier_kT, n=20_001):
     def potential(x):
         return barrier_kT * (x * x - 1.0) ** 2
 
+    def trapezoid_terms(f, x):
+        return np.diff(x) * (f[1:] + f[:-1]) / 2.0
+
     top = math.sqrt(1.0 + math.sqrt(60.0 / barrier_kT))
     y = np.linspace(0.0, 1.0, n)
     z = np.linspace(1.0, top, n)
-    beyond = trapezoid(np.exp(-potential(z)), z)
-    inner = cumulative_trapezoid(np.exp(-potential(y)), y, initial=0.0)
+    beyond = np.sum(trapezoid_terms(np.exp(-potential(z)), z))
+    inner = np.concatenate(([0.0], np.cumsum(trapezoid_terms(np.exp(-potential(y)), y))))
     tail = inner[-1] - inner + beyond
-    return float(trapezoid(np.exp(potential(y)) * tail, y))
+    return float(np.sum(trapezoid_terms(np.exp(potential(y)) * tail, y)))
 
 
 def check_kramers_scaling(master_seed):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, _bath_heat,
-                                 _erase_rows, _erasure_block, _first_passage, erase,
+                                 _erase_rows, _erasure_block, _first_passage, _scan_plan, erase,
                                  erase_dissipation_theory, erase_ensemble, partial_erase_error_prob,
                                  run_erasure_experiment, write_bit, write_ensemble)
 from thermobit.ou import CellParams, _transition
@@ -71,6 +72,14 @@ class TestPartialEraseErrorProb:
             partial_erase_error_prob(1.0, -0.1, CELL)
         with pytest.raises(ValueError):
             partial_erase_error_prob(0.0, 1.0, CELL)
+
+    def test_matches_scipy_normal_cdf_into_the_deep_tail(self):
+        for u0 in (0.1, 0.5, 1.0, 2.0, 4.0, 6.0):
+            for t in (0.01, 0.03, 0.1, 0.5, 1.0, 3.0, 10.0):
+                mu = math.exp(-t)
+                expected = norm.cdf(-u0 * mu / math.sqrt(1.0 - mu * mu))
+                got = partial_erase_error_prob(u0, t, CELL)
+                assert math.isclose(got, expected, rel_tol=1e-13, abs_tol=0.0), (u0, t)
 
     def test_strictly_increasing_toward_half(self):
         grid = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
@@ -276,6 +285,19 @@ class RecordingStream:
         return k
 
 
+class CopyingStream(RecordingStream):
+    """A RecordingStream that also keeps a copy of each normal array as drawn."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.copies = []
+
+    def standard_normal(self, size=None):
+        z = super().standard_normal(size)
+        self.copies.append(z.copy())
+        return z
+
+
 def loop_first_passage(v, target, draws, mu, s):
     """Plain-Python walk v <- mu*v + s*z over the recorded rounds of draws."""
     steps = [0] * len(v)
@@ -311,6 +333,23 @@ class TestBlockKernels:
         assert len(rec.draws) > 1  # several rounds, with rows dropping out
         assert got.tolist() == loop_first_passage(v, target, rec.draws, mu, s)
         assert got[:3].tolist() == [0, 0, 0]
+
+    # One chunk of 128, two chunks (69 + 59), width 1, and mu == 0.
+    @pytest.mark.parametrize("dt, width", [(0.01, 128), (0.02, 69), (1.0, 1), (800.0, 1)])
+    def test_scan_matches_scalar_loop_across_chunk_widths(self, dt, width):
+        mu, s = _transition(dt, CELL)
+        assert _scan_plan(mu, s)[0] == width
+        assert (mu == 0.0) == (dt == 800.0)
+        stream = make_stream(35, 0)
+        n = 64
+        target = np.where(stream.integers(0, 2, size=n) == 1, 1.5, -1.5)
+        v = 1.2 * stream.standard_normal(n)
+        rec = CopyingStream(stream)
+        # A finite guard, so that a scan that never crosses fails instead of hanging.
+        got = _first_passage(v, target, CELL, dt, rec, max_duration=1e6 * CELL.tau)
+        # The scan must leave the drawn normals as they were drawn.
+        assert all(np.array_equal(z, c) for z, c in zip(rec.draws, rec.copies))
+        assert got.tolist() == loop_first_passage(v, target, rec.copies, mu, s)
 
     def test_landing_on_the_target_is_a_crossing(self):
         _, s = _transition(0.01, CELL)

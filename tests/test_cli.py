@@ -138,6 +138,23 @@ class TestExitCodes:
         assert proc.returncode == 0
 
 
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, thermobit, thermobit.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_verify_passes_with_scipy_blocked(self):
+        # A None entry in sys.modules makes any `import scipy` raise ImportError.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.modules['scipy'] = None; "
+             "from thermobit import cli; sys.exit(cli.main(['verify']))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 class TestOutputs:
     def test_icecube_summary_values(self, tmp_path, run_cli):
         code, out, _ = run_cli(["bounds", "icecube", "--output-dir", str(tmp_path)])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from thermobit import doublewell
 from thermobit.doublewell import (BLOCK, DoubleWellParams, EscapeInfeasibleError,
@@ -175,6 +175,16 @@ class TestSampleWell:
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
             sample_one(DoubleWellParams.reduced(2.0), 2, make_stream(0, 0))
+
+    @pytest.mark.parametrize("barrier", [2.0, 4.0])
+    def test_boltzmann_grid_is_scipy_cumulative_trapezoid(self, barrier):
+        # Written out in numpy, the table keeps scipy's bytes, and with them
+        # every double-well CSV byte.
+        p = DoubleWellParams.reduced(barrier)
+        x, cdf = doublewell._boltzmann_grid(p)
+        want = cumulative_trapezoid(np.exp(-p.potential(x) / p.kT), x, initial=0.0)
+        want /= want[-1]
+        assert np.array_equal(cdf, want)
 
 
 class TestRelaxEnsemble:
