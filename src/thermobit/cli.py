@@ -17,6 +17,7 @@ with explicit cell parameters is available for the capacitor family.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -91,7 +92,8 @@ def _default_durations():
 _COMMON_OPTS = [
     ("n", int, 10000, "ensemble size (trajectories)"),
     ("master-seed", int, 12345, "master RNG seed"),
-    ("workers", int, 1, "worker process count"),
+    ("workers", int, 1, "worker process count; each worker runs one contiguous share "
+                        "of the blocks, about n/workers rows"),
 ]
 
 _CELL_OPTS = [
@@ -383,9 +385,13 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
-    # No prefix matching: "--durations" is refused rather than read as
-    # --durations-tau, so main's fuse below sees every spelling of the flag.
+    # Built once per process: every option defaults to None and each
+    # parse_args call fills a fresh namespace, so no call sees another's
+    # values.  No prefix matching: "--durations" is refused rather than
+    # read as --durations-tau, so main's fuse below sees every spelling of
+    # the flag.
     parser = argparse.ArgumentParser(prog="thermobit", allow_abbrev=False,
                                      description="Thermal-memory erasure experiments")
     common = argparse.ArgumentParser(add_help=False)

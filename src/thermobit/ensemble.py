@@ -6,6 +6,12 @@ depends only on the seed and the task, never on the worker count or
 completion order.  Every ensemble runs through `run_blocks`, the one
 layout of trajectories into blocks and blocks onto streams.
 
+At worker_count > 1 the blocks are cut into at most worker_count shares,
+each a contiguous run of blocks holding about n/worker_count rows, and
+each share is one pool task: the worker runs its blocks in order and
+joins their columns, so an ensemble costs one message each way per share
+(see `_shares`).  The pool is used even when there is only one share.
+
 Runs at worker_count > 1 share one process pool, kept alive for the
 life of the process and reused by every later call with the same count;
 a call with another count shuts it down and starts a new one, a pool
@@ -49,9 +55,9 @@ class EnsembleWorkerError(RuntimeError):
         return (self.__class__, (self.stream_index, self.cause_text))
 
 
-def _run_one(task, master_seed, index):
+def _run_one(task, master_seed, index, *args):
     try:
-        return task(make_stream(master_seed, index))
+        return task(make_stream(master_seed, index), *args)
     except Exception as exc:  # noqa: BLE001 - re-raised with stream identity
         raise EnsembleWorkerError(index, exc) from exc
 
@@ -67,26 +73,53 @@ def _pool(worker_count):
     return _live[1]
 
 
-def run_parallel_ensemble(task, n_trajectories, master_seed, *,
-                          worker_count=1, stream_offset=0):
-    """Run `task(stream)` for n_trajectories streams; merge in index order.
-
-    `task` must be picklable (a module-level function or functools.partial
-    of one) when worker_count > 1.
-    """
-    global _live
-    if n_trajectories < 1:
+def _check_counts(n, worker_count):
+    if n < 1:
         raise ValueError("n_trajectories must be >= 1")
     if not 1 <= worker_count <= MAX_WORKERS:
         raise ValueError(f"worker_count must lie in [1, {MAX_WORKERS}], got {worker_count}")
 
-    run = partial(_run_one, task, master_seed)
-    indices = range(stream_offset, stream_offset + n_trajectories)
+
+def _shares(n, block, worker_count):
+    """Cut the ceil(n/block) blocks of n rows into contiguous shares.
+
+    Returns ranges of block numbers, in order, none empty.  With no more
+    blocks than workers each block is its own share; otherwise share k
+    ends at the block boundary nearest to (k+1)*n/worker_count rows
+    (the lower one on a tie), and shares that two cuts would leave empty
+    are dropped, so there are at most worker_count of them.
+    """
+    n_blocks = -(-n // block)
+    if worker_count >= n_blocks:
+        return [range(k, k + 1) for k in range(n_blocks)]
+    cuts = [0]
+    for k in range(1, worker_count):
+        # Boundary j sits at min(j*block, n) rows.  Scaled by worker_count,
+        # the target is k*n and boundaries j and j+1 bracket it.
+        j = k * n // (block * worker_count)
+        below = k * n - j * block * worker_count
+        above = min((j + 1) * block, n) * worker_count - k * n
+        if above < below:
+            j += 1
+        if j > cuts[-1]:
+            cuts.append(j)
+    cuts.append(n_blocks)
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def _dispatch(run_share, shares, worker_count):
+    """[run_share(s) for s in shares], one pool task per share at worker_count > 1.
+
+    Results come back in share order, and a failure is raised from the
+    first failing share, so the lowest failing stream index wins.
+    """
+    global _live
     if worker_count == 1:
-        return [run(i) for i in indices]
+        return [run_share(share) for share in shares]
     pool = _pool(worker_count)
     try:
-        return list(pool.map(run, indices, chunksize=-(-n_trajectories // (4 * worker_count))))
+        futures = [pool.submit(run_share, share) for share in shares]
+        return [future.result() for future in futures]
     except BrokenProcessPool:
         # A dead worker breaks the pool for good: reap it, let the next call start anew.
         pool.shutdown()
@@ -94,8 +127,32 @@ def run_parallel_ensemble(task, n_trajectories, master_seed, *,
         raise
 
 
-def _run_block(stream, task, n, block, stream_offset):
-    return task(stream, min(block, n - (stream.stream_index - stream_offset) * block))
+def _run_indices(task, master_seed, indices):
+    return [_run_one(task, master_seed, i) for i in indices]
+
+
+def run_parallel_ensemble(task, n_trajectories, master_seed, *,
+                          worker_count=1, stream_offset=0):
+    """Run `task(stream)` for n_trajectories streams; merge in index order.
+
+    `task` must be picklable (a module-level function or functools.partial
+    of one) when worker_count > 1.
+    """
+    _check_counts(n_trajectories, worker_count)
+    shares = [range(stream_offset + s.start, stream_offset + s.stop)
+              for s in _shares(n_trajectories, 1, worker_count)]
+    parts = _dispatch(partial(_run_indices, task, master_seed), shares, worker_count)
+    return [result for part in parts for result in part]
+
+
+def _join(parts):
+    """The tuple of each column's concatenation along the last (row) axis."""
+    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
+
+
+def _run_block_share(task, n, block, master_seed, stream_offset, blocks):
+    return _join([_run_one(task, master_seed, stream_offset + k, min(block, n - k * block))
+                  for k in blocks])
 
 
 def run_blocks(task, n, block, master_seed, *, worker_count=1, stream_offset=0):
@@ -104,9 +161,10 @@ def run_blocks(task, n, block, master_seed, *, worker_count=1, stream_offset=0):
     Block k uses make_stream(master_seed, stream_offset + k) and holds
     `block` rows, except the last, which holds the rest.  Every task
     returns a tuple of arrays; the result is the tuple of their
-    concatenations along the last (row) axis.
+    concatenations along the last (row) axis.  At worker_count > 1 the
+    blocks run in shares (see `_shares`), each joined in its worker.
     """
-    sized = partial(_run_block, task=task, n=n, block=block, stream_offset=stream_offset)
-    parts = run_parallel_ensemble(sized, -(-n // block), master_seed,
-                                  worker_count=worker_count, stream_offset=stream_offset)
-    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
+    _check_counts(n, worker_count)
+    run = partial(_run_block_share, task, n, block, master_seed, stream_offset)
+    parts = _dispatch(run, _shares(n, block, worker_count), worker_count)
+    return parts[0] if len(parts) == 1 else _join(parts)

@@ -294,6 +294,39 @@ class TestBlocks:
         assert blobs[0] == blobs[1]
 
 
+class TestParserCache:
+    """One parser serves every cli.main call in a process and keeps no state."""
+
+    @staticmethod
+    def written_bits(out_dir):
+        header, *rows = (out_dir / "capacitor_write.csv").read_text().splitlines()
+        return [row.split(",")[header.split(",").index("bit")] for row in rows]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_flag_does_not_stick_to_the_next_call(self, tmp_path, run_cli):
+        base = ["capacitor", "write", "--n", "20"]
+        assert run_cli(base + ["--bit", "0", "--output-dir", str(tmp_path / "a")])[0] == 0
+        assert run_cli(base + ["--output-dir", str(tmp_path / "b")])[0] == 0
+        assert self.written_bits(tmp_path / "a") == ["0"]
+        assert self.written_bits(tmp_path / "b") == ["1"]
+
+    def test_a_usage_error_does_not_spoil_the_next_call(self, tmp_path, run_cli):
+        argv = ["capacitor", "write", "--n", "20", "--master-seed", "5"]
+        cli.build_parser.cache_clear()
+        assert run_cli(argv + ["--output-dir", str(tmp_path / "fresh")])[0] == 0
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["capacitor", "write", "--bit", "0", "--n", "7", "--u0", "1"])
+        assert exc_info.value.code == 2
+        code, out, _ = run_cli(argv + ["--output-dir", str(tmp_path / "after")])
+        assert code == 0
+        assert json.loads(out)["config"]["n_trajectories"] == 20
+        assert self.written_bits(tmp_path / "after") == ["1"]
+        assert ((tmp_path / "after" / "capacitor_write.csv").read_bytes()
+                == (tmp_path / "fresh" / "capacitor_write.csv").read_bytes())
+
+
 class TestVerify:
     def test_prints_elapsed_per_criterion(self, monkeypatch, capsys):
         fake = [verification.CriterionResult("1 fake", True, "ok", elapsed=1.5),

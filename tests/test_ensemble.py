@@ -41,6 +41,38 @@ def refuse_pool(*args, **kwargs):
     raise AssertionError("a process pool was constructed")
 
 
+def fail_in(stream, rows, at):
+    """Raise at every block whose stream index is in `at`."""
+    if stream.stream_index in at:
+        raise ValueError("boom")
+    return (stream.standard_normal(rows),)
+
+
+def pid_block(stream, rows):
+    return (np.full(rows, os.getpid()),)
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Wrap the executor that ensemble._pool returns; list every task submitted to it."""
+    log = []
+    real = ensemble._pool
+
+    class Counting:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, *args):
+            log.append(args)
+            return self.pool.submit(fn, *args)
+
+        def __getattr__(self, name):
+            return getattr(self.pool, name)
+
+    monkeypatch.setattr(ensemble, "_pool", lambda worker_count: Counting(real(worker_count)))
+    return log
+
+
 class TestRunParallelEnsemble:
     def test_single_worker_matches_direct_calls(self):
         got = run_parallel_ensemble(draw_one, 20, master_seed=60)
@@ -87,15 +119,16 @@ class TestRunBlocks:
         n, offset, seed = full_blocks * block + 1, 7, 64
         sizes = [block] * full_blocks + [1]
         runs = [run_blocks(block_keys, n, block, seed, worker_count=w, stream_offset=offset)
-                for w in (1, 2)]
+                for w in (1, 2, 3)]
         z, keys = runs[0]
         assert z.shape == (n,) and keys.shape == (2, n)
         np.testing.assert_array_equal(np.bincount(keys[0] - offset), sizes)
         np.testing.assert_array_equal(keys[1], np.concatenate([np.arange(r) for r in sizes]))
         want = [make_stream(seed, offset + k).standard_normal(r) for k, r in enumerate(sizes)]
         np.testing.assert_array_equal(z, np.concatenate(want))
-        for got, ref in zip(runs[1], runs[0]):
-            np.testing.assert_array_equal(got, ref)
+        for run in runs[1:]:
+            for got, ref in zip(run, runs[0], strict=True):
+                np.testing.assert_array_equal(got, ref)
 
         for workers in (1, 2):
             with pytest.raises(EnsembleWorkerError) as exc_info:
@@ -150,3 +183,59 @@ class TestPool:
         self.assert_equal(self.pooled(workers=2), self.serial())
         assert ensemble._live[0] == 2
         assert len(multiprocessing.active_children()) <= 2
+
+
+class TestShares:
+    """At worker_count > 1 each pool task is one contiguous share of the blocks."""
+
+    def test_cut_at_the_boundary_nearest_half_the_rows(self):
+        # 2048.5 rows is the midpoint; boundary 2048 lies nearer than 4096,
+        # so the shares hold 2048 and 2049 rows.
+        assert ensemble._shares(4097, 2048, 2) == [range(0, 1), range(1, 3)]
+        assert [len(s) for s in ensemble._shares(6000, 256, 2)] == [12, 12]
+
+    @pytest.mark.parametrize("n, block, workers", [
+        (4097, 2048, 3), (4097, 2048, 8), (2305, 256, 11), (10, 256, 2), (5, 1, 256)])
+    def test_more_workers_than_blocks_gives_a_block_each(self, n, block, workers):
+        n_blocks = -(-n // block)
+        assert ensemble._shares(n, block, workers) == [range(k, k + 1) for k in range(n_blocks)]
+
+    @pytest.mark.parametrize("n, block", [(1, 1), (4097, 2048), (6000, 256), (700, 256),
+                                          (12000, 256), (999, 7)])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
+    def test_shares_tile_the_blocks_in_order(self, n, block, workers):
+        shares = ensemble._shares(n, block, workers)
+        assert [k for share in shares for k in share] == list(range(-(-n // block)))
+        assert all(shares) and len(shares) <= workers
+
+    @pytest.mark.parametrize("n, block, workers", [
+        (1000, 100, 2), (1000, 100, 3), (300, 100, 8), (50, 100, 2)])
+    def test_one_task_per_share(self, submitted, n, block, workers):
+        run_blocks(block_keys, n, block, 66, worker_count=workers)
+        assert len(submitted) <= min(workers, -(-n // block))
+        assert submitted == [(share,) for share in ensemble._shares(n, block, workers)]
+
+    def test_parallel_ensemble_sends_shares_of_indices(self, submitted):
+        got = run_parallel_ensemble(draw_one, 50, master_seed=67, worker_count=4,
+                                    stream_offset=9)
+        assert submitted == [(range(9, 21),), (range(21, 34),), (range(34, 46),),
+                             (range(46, 59),)]
+        assert got == [draw_one(make_stream(67, 9 + i)) for i in range(50)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("at, want", [
+        ({9}, 9),        # the last share's own index
+        ({7, 2}, 2),     # failures in two shares: the lower index wins
+        ({8, 6}, 6),     # at 2 workers one share holds both: it runs 6 first
+    ])
+    def test_failure_reports_the_lowest_stream_index(self, workers, at, want):
+        offset = 40
+        with pytest.raises(EnsembleWorkerError) as exc_info:
+            run_blocks(partial(fail_in, at={offset + k for k in at}), 1000, 100, 69,
+                       worker_count=workers, stream_offset=offset)
+        assert exc_info.value.stream_index == offset + want
+
+    def test_one_share_still_runs_in_a_worker(self):
+        (pids,) = run_blocks(pid_block, 10, 256, 70, worker_count=2)
+        assert pids.shape == (10,) and len(set(pids)) == 1
+        assert pids[0] != os.getpid()
