@@ -43,6 +43,12 @@ class NoErasureError(ValueError):
     """Ambient at or below freezing: the cube does not melt, so nothing erases."""
 
 
+def _check_positive(**values):
+    for name, x in values.items():
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {x!r}")
+
+
 def brillouin_min_dissipation(p_e, T):
     """Minimum dissipation kT*ln(1/p_e) of a bit-value change, joules.
 
@@ -52,18 +58,16 @@ def brillouin_min_dissipation(p_e, T):
     p_e = float(p_e)
     if not 0.0 < p_e <= 0.5:
         raise ValueError(f"p_e must lie in (0, 0.5], got {p_e!r}")
-    if not T > 0:
-        raise ValueError("T must be positive")
+    _check_positive(T=T)
     return BOLTZMANN * T * math.log(1.0 / p_e)
 
 
 def anderson_bound(delta_S_bits, T):
     """Most negative permitted dissipation -kT*ln2*dS, joules."""
     delta_S_bits = float(delta_S_bits)
-    if delta_S_bits < 0.0:
-        raise ValueError(f"delta_S_bits must be non-negative, got {delta_S_bits!r}")
-    if not T > 0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(delta_S_bits) and delta_S_bits >= 0.0):
+        raise ValueError(f"delta_S_bits must be finite and non-negative, got {delta_S_bits!r}")
+    _check_positive(T=T)
     return -BOLTZMANN * T * math.log(2.0) * delta_S_bits
 
 
@@ -82,8 +86,9 @@ class IceCubeModel:
     specific_heat_water: float = SPECIFIC_HEAT_WATER
 
     def __post_init__(self):
-        if not self.volume_cm3 > 0:
-            raise ValueError("volume_cm3 must be positive")
+        # Every field but the flag is a physical quantity: finite and positive.
+        _check_positive(**{k: v for k, v in vars(self).items()
+                           if k != "include_sensible_heat" and v is not None})
         if self.include_sensible_heat and self.initial_ice_temperature > FREEZING_POINT:
             raise ValueError("initial_ice_temperature must be at or below freezing")
 

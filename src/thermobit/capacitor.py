@@ -48,8 +48,9 @@ BLOCK = 256
 
 # Normals drawn per row per first-passage round.
 _ROUND_WIDTH = 128
-# Log of the largest spread mu^-width of the scan weights within one chunk.
-_LOG_SCAN_GROWTH = math.log(4.0)
+# Smallest mu^(_ROUND_WIDTH - 1) walked by one prefix sum (dt <= 2.72 tau).
+# The scan weights s*mu^-i then stay below 1.3e304 for any finite kT/C.
+_SCAN_FLOOR = 1e-150
 
 
 class WriteTimeoutError(RuntimeError):
@@ -137,42 +138,30 @@ def _bath_heat(c, v_from, v_to):
     return 0.5 * c * v_from * v_from - 0.5 * c * v_to * v_to
 
 
-def _scan_plan(mu, s):
-    """Chunk width and the per-round weight and decay rows of the first-passage scan.
-
-    The width is the largest (up to _ROUND_WIDTH) with mu^-width <= 4, so
-    the weights s*mu^-i of one chunk span at most a factor 4.  Position k
-    of a round sits at offset i = k % width in its chunk and gets weight
-    s*mu^-i and decay mu^i.  Above dt = ln 2 tau (mu^-2 > 4, which
-    includes mu == 0) the width is 1 and the scan is the plain recurrence.
-    """
-    rate = -math.log(mu) if mu > 0.0 else math.inf
-    width = _ROUND_WIDTH if rate * _ROUND_WIDTH <= _LOG_SCAN_GROWTH else max(
-        1, int(_LOG_SCAN_GROWTH / rate))
-    decay = mu ** (np.arange(_ROUND_WIDTH) % width)
-    return width, s / decay, decay[:width]
-
-
 def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     """Steps each row's sampled walk v <- mu*v + s*z takes to reach its target.
 
     Rows that start at or beyond their target take 0 steps.  Each round
     draws a (rows, _ROUND_WIDTH) array of normals; a row is done at its
     first sample at or past the target, and done rows drop out of later
-    rounds.  A round is walked in chunks (see _scan_plan).  A chunk's
-    first sample is x_1 = s*z_1 + mu*x_0 from the sample before it, exactly
-    as the recurrence gives it, so a sample that lands on +-u0 counts as a
-    crossing; the rest come from one prefix sum,
+    rounds.  While mu^(_ROUND_WIDTH - 1) >= _SCAN_FLOOR (dt <= 2.72 tau)
+    a round is one prefix sum: with x_0 the sample before the round,
 
-        x_j = mu^(j-1) * (x_1 + sum_{i=2..j} s*mu^-(i-1)*z_i),
+        x_j = mu^(j-1) * (s*z_1 + mu*x_0 + sum_{i=2..j} s*mu^-(i-1)*z_i),
 
-    which differs from the recurrence only by rounding, under 1e-14
-    sigma_st at dt = 0.01 tau.  A step count can therefore differ from a
-    sample-by-sample walk only when a sample lies that close to +-u0.
-    The drawn normals are left as drawn.
+    so x_1 = s*z_1 + mu*x_0 exactly as the recurrence gives it, and a
+    sample that lands on +-u0 counts as a crossing.  The rest differ from
+    the recurrence only by rounding, at most about eps*max|x|/(1 - mu):
+    the error does not grow with mu^-_ROUND_WIDTH, only overflow of the
+    weights limits the scan.  Above 2.72 tau the round walks the
+    recurrence sample by sample.  A step count can therefore differ from
+    a sample-by-sample walk only when a sample lies within rounding of
+    +-u0.  The drawn normals are left as drawn.
     """
     mu, s = _transition(dt, p)
-    width, weight, decay = _scan_plan(mu, s)
+    decay = mu ** np.arange(_ROUND_WIDTH)
+    scan = decay[-1] >= _SCAN_FLOOR
+    weight = s / decay if scan else s
     steps = np.zeros(v.size, dtype=np.int64)
     active = np.nonzero((v - target) * (0.0 - target) > 0.0)[0]
     # sign*x <= level is (x - target)*side <= 0 exactly, since sign is +-1.
@@ -182,14 +171,14 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     walked = 0
     while active.size:
         z = rng.standard_normal((active.size, _ROUND_WIDTH))
-        path = z * weight  # weight is s at each chunk's first sample
-        for c in range(0, _ROUND_WIDTH, width):
-            chunk = path[:, c:c + width]
-            chunk[:, 0] += mu * prev
-            if width > 1:
-                np.cumsum(chunk, axis=1, out=chunk)
-                chunk *= decay[:chunk.shape[1]]
-            prev = chunk[:, -1]
+        path = z * weight
+        path[:, 0] += mu * prev
+        if scan:
+            np.cumsum(path, axis=1, out=path)
+            path *= decay
+        else:
+            for j in range(1, _ROUND_WIDTH):
+                path[:, j] += mu * path[:, j - 1]
         crossed = path * sign[:, None] <= level[:, None]
         first = crossed.argmax(axis=1)
         hit = crossed[np.arange(active.size), first]

@@ -92,8 +92,8 @@ def _default_durations():
 _COMMON_OPTS = [
     ("n", int, 10000, "ensemble size (trajectories)"),
     ("master-seed", int, 12345, "master RNG seed"),
-    ("workers", int, 1, "worker process count; each worker runs one contiguous share "
-                        "of the blocks, about n/workers rows"),
+    ("workers", int, 1, "worker process count; the blocks are split evenly by count "
+                        "into one contiguous share per worker"),
 ]
 
 _CELL_OPTS = [

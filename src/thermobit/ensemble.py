@@ -4,13 +4,15 @@ Task i gets the stream derived from (master_seed, stream_offset + i).
 Because every stream is a pure function of its key, the merged result
 depends only on the seed and the task, never on the worker count or
 completion order.  Every ensemble runs through `run_blocks`, the one
-layout of trajectories into blocks and blocks onto streams.
+layout of trajectories into blocks and blocks onto streams;
+`run_parallel_ensemble` is run_blocks with one trajectory per block.
 
-At worker_count > 1 the blocks are cut into at most worker_count shares,
-each a contiguous run of blocks holding about n/worker_count rows, and
-each share is one pool task: the worker runs its blocks in order and
-joins their columns, so an ensemble costs one message each way per share
-(see `_shares`).  The pool is used even when there is only one share.
+At worker_count > 1 the blocks are split evenly by count into
+min(worker_count, number of blocks) contiguous shares, whose block counts
+differ by at most one, and each share is one pool task: the worker runs
+its blocks in order and joins their columns, so an ensemble costs one
+message each way per share (see `_shares`).  The pool is used even when
+there is only one share.
 
 Runs at worker_count > 1 share one process pool, kept alive for the
 life of the process and reused by every later call with the same count;
@@ -81,30 +83,14 @@ def _check_counts(n, worker_count):
 
 
 def _shares(n, block, worker_count):
-    """Cut the ceil(n/block) blocks of n rows into contiguous shares.
+    """Split the ceil(n/block) blocks of n rows evenly into contiguous shares.
 
-    Returns ranges of block numbers, in order, none empty.  With no more
-    blocks than workers each block is its own share; otherwise share k
-    ends at the block boundary nearest to (k+1)*n/worker_count rows
-    (the lower one on a tie), and shares that two cuts would leave empty
-    are dropped, so there are at most worker_count of them.
+    Returns c = min(worker_count, n_blocks) ranges of block numbers, in
+    order, none empty, whose lengths differ by at most one.
     """
     n_blocks = -(-n // block)
-    if worker_count >= n_blocks:
-        return [range(k, k + 1) for k in range(n_blocks)]
-    cuts = [0]
-    for k in range(1, worker_count):
-        # Boundary j sits at min(j*block, n) rows.  Scaled by worker_count,
-        # the target is k*n and boundaries j and j+1 bracket it.
-        j = k * n // (block * worker_count)
-        below = k * n - j * block * worker_count
-        above = min((j + 1) * block, n) * worker_count - k * n
-        if above < below:
-            j += 1
-        if j > cuts[-1]:
-            cuts.append(j)
-    cuts.append(n_blocks)
-    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    c = min(worker_count, n_blocks)
+    return [range(k * n_blocks // c, (k + 1) * n_blocks // c) for k in range(c)]
 
 
 def _dispatch(run_share, shares, worker_count):
@@ -125,24 +111,6 @@ def _dispatch(run_share, shares, worker_count):
         pool.shutdown()
         _live = None
         raise
-
-
-def _run_indices(task, master_seed, indices):
-    return [_run_one(task, master_seed, i) for i in indices]
-
-
-def run_parallel_ensemble(task, n_trajectories, master_seed, *,
-                          worker_count=1, stream_offset=0):
-    """Run `task(stream)` for n_trajectories streams; merge in index order.
-
-    `task` must be picklable (a module-level function or functools.partial
-    of one) when worker_count > 1.
-    """
-    _check_counts(n_trajectories, worker_count)
-    shares = [range(stream_offset + s.start, stream_offset + s.stop)
-              for s in _shares(n_trajectories, 1, worker_count)]
-    parts = _dispatch(partial(_run_indices, task, master_seed), shares, worker_count)
-    return [result for part in parts for result in part]
 
 
 def _join(parts):
@@ -168,3 +136,23 @@ def run_blocks(task, n, block, master_seed, *, worker_count=1, stream_offset=0):
     run = partial(_run_block_share, task, n, block, master_seed, stream_offset)
     parts = _dispatch(run, _shares(n, block, worker_count), worker_count)
     return parts[0] if len(parts) == 1 else _join(parts)
+
+
+def _boxed(task, stream, rows):
+    """task(stream) as a one-element object array: a block of one row."""
+    out = np.empty(1, dtype=object)
+    out[0] = task(stream)
+    return (out,)
+
+
+def run_parallel_ensemble(task, n_trajectories, master_seed, *,
+                          worker_count=1, stream_offset=0):
+    """Run `task(stream)` for n_trajectories streams; merge in index order.
+
+    This is run_blocks with one trajectory per block.  `task` must be
+    picklable (a module-level function or functools.partial of one) when
+    worker_count > 1.
+    """
+    (results,) = run_blocks(partial(_boxed, task), n_trajectories, 1, master_seed,
+                            worker_count=worker_count, stream_offset=stream_offset)
+    return results.tolist()

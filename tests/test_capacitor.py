@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, _bath_heat,
-                                 _erase_rows, _erasure_block, _first_passage, _scan_plan, erase,
+                                 _erase_rows, _erasure_block, _first_passage, _write_rows, erase,
                                  erase_dissipation_theory, erase_ensemble, partial_erase_error_prob,
                                  run_erasure_experiment, write_bit, write_ensemble)
 from thermobit.ou import CellParams, _transition
@@ -334,11 +334,11 @@ class TestBlockKernels:
         assert got.tolist() == loop_first_passage(v, target, rec.draws, mu, s)
         assert got[:3].tolist() == [0, 0, 0]
 
-    # One chunk of 128, two chunks (69 + 59), width 1, and mu == 0.
-    @pytest.mark.parametrize("dt, width", [(0.01, 128), (0.02, 69), (1.0, 1), (800.0, 1)])
-    def test_scan_matches_scalar_loop_across_chunk_widths(self, dt, width):
+    # One prefix sum per round up to dt = 2.72 tau, the recurrence above it,
+    # and mu == 0 at 800 tau.
+    @pytest.mark.parametrize("dt", [0.01, 0.02, 1.0, 2.7, 2.8, 5.0, 800.0])
+    def test_scan_matches_scalar_loop_across_dt(self, dt):
         mu, s = _transition(dt, CELL)
-        assert _scan_plan(mu, s)[0] == width
         assert (mu == 0.0) == (dt == 800.0)
         stream = make_stream(35, 0)
         n = 64
@@ -350,6 +350,15 @@ class TestBlockKernels:
         # The scan must leave the drawn normals as they were drawn.
         assert all(np.array_equal(z, c) for z, c in zip(rec.draws, rec.copies))
         assert got.tolist() == loop_first_passage(v, target, rec.copies, mu, s)
+
+    @pytest.mark.parametrize("dt", [2.7, 5.0])
+    @pytest.mark.parametrize("capacitance", [1e-300, 5e-324])
+    def test_huge_kT_over_C_neither_overflows_nor_divides_by_zero(self, capacitance, dt):
+        # sigma_st near its largest finite value: the scan weights s*mu^-i
+        # must stay finite on both sides of the dt = 2.72 tau bound.
+        p = CellParams(temperature=300.0, resistance=1e6, capacitance=capacitance)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _write_rows(np.ones(256, dtype=int), p.sigma_st, p, dt * p.tau, make_stream(36, 0))
 
     def test_landing_on_the_target_is_a_crossing(self):
         _, s = _transition(0.01, CELL)

@@ -47,6 +47,23 @@ class TestExitCodes:
         assert code == 4
         assert "runtime error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["brillouin", "--temperature-K", "inf"],
+        ["anderson", "--delta-s-bits", "inf"],
+        ["anderson", "--temperature-K", "inf"],
+        ["icecube", "--volume-cm3", "inf"],
+        ["icecube", "--ambient-K", "inf"],
+        ["icecube", "--latent-heat", "nan"],
+        ["icecube", "--latent-heat", "inf"],
+        ["icecube", "--ice-density", "-1"],
+    ])
+    def test_non_finite_or_non_physical_bounds_input_is_config_error(self, tmp_path, run_cli,
+                                                                     argv):
+        code, _, err = run_cli(["bounds"] + argv + ["--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "config error" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_infeasible_escape_is_runtime_error(self, tmp_path, run_cli):
         code, _, _ = run_cli(["doublewell", "escape", "--barrier-kt", "12",
                               "--n", "10", "--output-dir", str(tmp_path)])

@@ -188,9 +188,9 @@ class TestPool:
 class TestShares:
     """At worker_count > 1 each pool task is one contiguous share of the blocks."""
 
-    def test_cut_at_the_boundary_nearest_half_the_rows(self):
-        # 2048.5 rows is the midpoint; boundary 2048 lies nearer than 4096,
-        # so the shares hold 2048 and 2049 rows.
+    def test_even_split_by_block_count(self):
+        # Three blocks over two workers: one block (2048 rows), then two
+        # (2049 rows).
         assert ensemble._shares(4097, 2048, 2) == [range(0, 1), range(1, 3)]
         assert [len(s) for s in ensemble._shares(6000, 256, 2)] == [12, 12]
 
@@ -207,6 +207,7 @@ class TestShares:
         shares = ensemble._shares(n, block, workers)
         assert [k for share in shares for k in share] == list(range(-(-n // block)))
         assert all(shares) and len(shares) <= workers
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
     @pytest.mark.parametrize("n, block, workers", [
         (1000, 100, 2), (1000, 100, 3), (300, 100, 8), (50, 100, 2)])
@@ -218,8 +219,9 @@ class TestShares:
     def test_parallel_ensemble_sends_shares_of_indices(self, submitted):
         got = run_parallel_ensemble(draw_one, 50, master_seed=67, worker_count=4,
                                     stream_offset=9)
-        assert submitted == [(range(9, 21),), (range(21, 34),), (range(34, 46),),
-                             (range(46, 59),)]
+        # Blocks of one trajectory each, numbered from 0; block k uses stream 9 + k.
+        assert submitted == [(range(0, 12),), (range(12, 25),), (range(25, 37),),
+                             (range(37, 50),)]
         assert got == [draw_one(make_stream(67, 9 + i)) for i in range(50)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
