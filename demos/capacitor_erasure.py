@@ -19,9 +19,8 @@ This script reproduces three headline numbers in reduced units
 Run: python demos/capacitor_erasure.py
 """
 
-from thermobit import (CellParams, ErasureExperimentConfig, bit_information,
-                       erase_dissipation_theory, partial_erase_error_prob,
-                       run_erasure_experiment)
+from thermobit import (CellParams, bit_information, erase_dissipation_theory,
+                       partial_erase_error_prob, run_erasure_experiment)
 from thermobit.capacitor import erase_ensemble, write_ensemble
 
 cell = CellParams.reduced()
@@ -44,15 +43,11 @@ print("The write is powered by the bath; the books balance only once the")
 print("control cost of the latch (>= kT ln2 per timing decision) is counted.\n")
 
 print("=== 3. Information decay during an incomplete erase ===")
-config = ErasureExperimentConfig(
-    cell=cell, u0=1.0,
-    durations=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
-    n_trajectories=n, master_seed=102,
-)
+durations = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 print(f"{'t/tau':>6} {'p_e sim':>8} {'p_e theory':>11} {'bits left':>10}")
-for rep in run_erasure_experiment(config):
+for rep in run_erasure_experiment(1.0, durations, cell, n, master_seed=102):
     p_theory = partial_erase_error_prob(1.0, rep.duration, cell)
     print(f"{rep.duration:6.2f} {rep.channel.p_e_hat:8.4f} {p_theory:11.4f} "
-          f"{rep.information.bits:10.4f}")
+          f"{rep.info_bits:10.4f}")
 print(f"\nAfter one tau the bit still holds {bit_information(0.3462):.3f} bits;")
 print("a few tau later the record is gone without any mandatory dissipation.")

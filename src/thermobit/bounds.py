@@ -13,7 +13,7 @@ draws the latent heat from the environment, ~7e23 kT for 10 cm^3 at
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +31,9 @@ __all__ = [
 ]
 
 FREEZING_POINT = 273.15  # K
+INITIAL_ICE_TEMPERATURE = 255.15  # K, a freezer; the meltwater ends at ambient
 
-# Cited defaults; kept as configuration so tests can pin them.
+# Cited defaults; the density and the latent heat are IceCubeModel fields.
 ICE_DENSITY = 0.917  # g/cm^3
 LATENT_HEAT_FUSION = 333.55  # J/g
 SPECIFIC_HEAT_ICE = 2.1  # J/(g K)
@@ -49,6 +50,12 @@ def _check_positive(**values):
             raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 
+def _check_finite(**values):
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} is not finite: {x!r}")
+
+
 def brillouin_min_dissipation(p_e, T):
     """Minimum dissipation kT*ln(1/p_e) of a bit-value change, joules.
 
@@ -58,8 +65,9 @@ def brillouin_min_dissipation(p_e, T):
     p_e = float(p_e)
     if not 0.0 < p_e <= 0.5:
         raise ValueError(f"p_e must lie in (0, 0.5], got {p_e!r}")
-    _check_positive(T=T)
-    return BOLTZMANN * T * math.log(1.0 / p_e)
+    # kT > 0 and -ln(p_e) <= 745 keep the result finite; 1/p_e would overflow.
+    _check_positive(T=T, kT=BOLTZMANN * T)
+    return BOLTZMANN * T * -math.log(p_e)
 
 
 def anderson_bound(delta_S_bits, T):
@@ -67,8 +75,10 @@ def anderson_bound(delta_S_bits, T):
     delta_S_bits = float(delta_S_bits)
     if not (math.isfinite(delta_S_bits) and delta_S_bits >= 0.0):
         raise ValueError(f"delta_S_bits must be finite and non-negative, got {delta_S_bits!r}")
-    _check_positive(T=T)
-    return -BOLTZMANN * T * math.log(2.0) * delta_S_bits
+    _check_positive(T=T, kT=BOLTZMANN * T)
+    bound = -BOLTZMANN * T * math.log(2.0) * delta_S_bits
+    _check_finite(bound=bound)
+    return bound
 
 
 @dataclass(frozen=True)
@@ -80,17 +90,10 @@ class IceCubeModel:
     ice_density: float = ICE_DENSITY
     latent_heat_fusion: float = LATENT_HEAT_FUSION
     include_sensible_heat: bool = False
-    initial_ice_temperature: float = 255.15  # K, typical freezer
-    final_water_temperature: Optional[float] = None  # defaults to ambient
-    specific_heat_ice: float = SPECIFIC_HEAT_ICE
-    specific_heat_water: float = SPECIFIC_HEAT_WATER
 
     def __post_init__(self):
         # Every field but the flag is a physical quantity: finite and positive.
-        _check_positive(**{k: v for k, v in vars(self).items()
-                           if k != "include_sensible_heat" and v is not None})
-        if self.include_sensible_heat and self.initial_ice_temperature > FREEZING_POINT:
-            raise ValueError("initial_ice_temperature must be at or below freezing")
+        _check_positive(**{k: v for k, v in vars(self).items() if k != "include_sensible_heat"})
 
 
 @dataclass(frozen=True)
@@ -119,18 +122,19 @@ def ice_cube_erasure_energy(model: IceCubeModel) -> BoundComparison:
     mass = model.ice_density * model.volume_cm3  # g
     q = mass * model.latent_heat_fusion
     if model.include_sensible_heat:
-        q += mass * model.specific_heat_ice * (FREEZING_POINT - model.initial_ice_temperature)
-        t_final = model.final_water_temperature if model.final_water_temperature is not None else T
-        q += mass * model.specific_heat_water * (t_final - FREEZING_POINT)
+        q += mass * SPECIFIC_HEAT_ICE * (FREEZING_POINT - INITIAL_ICE_TEMPERATURE)
+        q += mass * SPECIFIC_HEAT_WATER * (T - FREEZING_POINT)
     kT = BOLTZMANN * T
     bound = anderson_bound(1.0, T)
-    return BoundComparison(
+    comp = BoundComparison(
         cooling_joule=q,
         cooling_kT=q / kT,
         anderson_joule=bound,
         anderson_kT=bound / kT,
         violation_factor=q / abs(bound),
     )
+    _check_finite(**vars(comp))
+    return comp
 
 
 def memory_entropy_audit(states: Sequence[float]) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .ensemble import run_blocks
-from .infotheory import BitChannelStats, InformationContent, estimate_error_prob, remaining_information
+from .infotheory import BitChannelStats, bit_information, estimate_error_prob
 from .ou import CellParams, _transition, ou_sample_stationary, ou_step
 from .streams import RngStream
 
@@ -30,7 +30,6 @@ __all__ = [
     "WriteRecord",
     "EraseRecord",
     "ErasureReport",
-    "ErasureExperimentConfig",
     "WriteTimeoutError",
     "write_bit",
     "erase",
@@ -86,12 +85,10 @@ class ErasureReport:
     """Ensemble statistics of latch at +-u0 -> erase(duration) -> read."""
 
     duration: float
-    n_trajectories: int
     mean_Q_env: float
     se_Q_env: float
-    theory_Q_env: float
     channel: BitChannelStats
-    information: InformationContent
+    info_bits: float  # 1 - h2(p_e_hat): bits a reader can still recover
 
 
 def erase_dissipation_theory(u0, t, p: CellParams):
@@ -266,26 +263,6 @@ def erase(v0, duration, p: CellParams, dt, rng: RngStream):
                        bath_heat=_bath_heat(p.capacitance, v0, v_final))
 
 
-@dataclass(frozen=True)
-class ErasureExperimentConfig:
-    """Configuration for the latch/erase/read information-decay experiment."""
-
-    cell: CellParams
-    u0: float
-    durations: tuple
-    n_trajectories: int
-    master_seed: int
-    worker_count: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u0) and self.u0 > 0.0):
-            raise ValueError(f"u0 must be positive, got {self.u0!r}")
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        if not all(0.0 <= d < math.inf for d in self.durations):
-            raise ValueError("durations must be finite and non-negative")
-
-
 def _write_block(stream, rows, bit, u0, p, dt):
     v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, p, dt, stream)
     return _bath_heat(p.capacitance, v_start, target), steps, control
@@ -327,28 +304,34 @@ def erase_ensemble(v0, duration, p: CellParams, n, master_seed, *,
     return heat
 
 
-def run_erasure_experiment(config: ErasureExperimentConfig) -> list:
-    """Latch random bits at +-u0, erase for each duration, read, and tally.
+def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, worker_count=1):
+    """Latch random bits at +-u0 on n cells, erase for each duration, read, and tally.
 
-    Returns one ErasureReport per duration.  Each duration owns a
-    disjoint range of block stream indices, so results are reproducible
-    and independent of the worker count.
+    Returns one ErasureReport per duration.  The durations must be finite,
+    non-negative and sorted ascending; they and u0 are checked before any
+    block runs.  Each duration owns a disjoint range of block stream
+    indices, so results are reproducible and independent of the worker
+    count.
     """
+    u0 = float(u0)
+    durations = [float(d) for d in durations]
+    if not (math.isfinite(u0) and u0 > 0.0):
+        raise ValueError(f"u0 must be positive, got {u0!r}")
+    if not all(0.0 <= d < math.inf for d in durations):
+        raise ValueError("durations must be finite and non-negative")
+    if durations != sorted(durations):
+        raise ValueError("duration grid must be sorted ascending")
     reports = []
-    n = config.n_trajectories
-    for d_idx, duration in enumerate(config.durations):
-        task = partial(_erasure_block, u0=config.u0, duration=float(duration), p=config.cell)
-        bits, reads, q = run_blocks(task, n, BLOCK, config.master_seed,
-                                    worker_count=config.worker_count,
+    for d_idx, duration in enumerate(durations):
+        task = partial(_erasure_block, u0=u0, duration=duration, p=p)
+        bits, reads, q = run_blocks(task, n, BLOCK, master_seed, worker_count=worker_count,
                                     stream_offset=d_idx * -(-n // BLOCK))
         channel = estimate_error_prob(bits, reads)
         reports.append(ErasureReport(
-            duration=float(duration),
-            n_trajectories=n,
+            duration=duration,
             mean_Q_env=float(q.mean()),
             se_Q_env=float(q.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-            theory_Q_env=erase_dissipation_theory(config.u0, duration, config.cell),
             channel=channel,
-            information=remaining_information(channel),
+            info_bits=bit_information(channel.p_e_hat),
         ))
     return reports

@@ -60,11 +60,8 @@ class ExperimentConfig:
                               f"got {self.worker_count}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
-        # Every other value is checked by the library call it feeds, before
-        # any block runs; a ValueError there exits 3 as well.
-        grid = list(self.options.get("durations_tau", []))
-        if grid != sorted(grid):
-            raise ConfigError("duration grid must be sorted ascending")
+        # Every subcommand option is checked by the library call it feeds,
+        # before any block runs; a ValueError there exits 3 as well.
 
     def as_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "options"}
@@ -89,9 +86,11 @@ def _default_durations():
     return [0.0] + list(np.logspace(math.log10(0.1), math.log10(20.0), 19))
 
 
+_SEED_OPT = ("master-seed", int, 12345, "master RNG seed")
+
 _COMMON_OPTS = [
     ("n", int, 10000, "ensemble size (trajectories)"),
-    ("master-seed", int, 12345, "master RNG seed"),
+    _SEED_OPT,
     ("workers", int, 1, "worker process count; the blocks are split evenly by count "
                         "into one contiguous share per worker"),
 ]
@@ -124,7 +123,16 @@ def _add_opts(sp, opts):
         sp.add_argument("--" + flag, dest=flag.replace("-", "_"), **kwargs)
 
 
+def _check_keys(file_cfg, opts):
+    """Refuse config-file keys that name no option of the subcommand."""
+    known = {flag.replace("-", "_") for flag, *_ in opts + _COMMON_OPTS} | {"output_dir"}
+    unknown = sorted(set(file_cfg) - known)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+
+
 def _resolve_opts(args, file_cfg, opts):
+    """Each option's value: the flag, else the config file, else the default."""
     resolved = {}
     for flag, typ, default, _help in opts:
         key = flag.replace("-", "_")
@@ -197,19 +205,20 @@ def _run_capacitor_erase(cfg, cell):
 
 def _run_capacitor_mi_curve(cfg, cell):
     o = cfg.options
-    reports = cap_mod.run_erasure_experiment(cap_mod.ErasureExperimentConfig(
-        cell=cell, u0=o["u0_sigma"] * cell.sigma_st,
-        durations=tuple(d * cell.tau for d in o["durations_tau"]),
-        n_trajectories=cfg.n_trajectories, master_seed=cfg.master_seed,
-        worker_count=cfg.worker_count))
+    u0 = o["u0_sigma"] * cell.sigma_st
+    reports = cap_mod.run_erasure_experiment(u0, [d * cell.tau for d in o["durations_tau"]],
+                                             cell, cfg.n_trajectories, cfg.master_seed,
+                                             worker_count=cfg.worker_count)
     columns = ["duration_tau", "p_e_hat", "ci_low", "ci_high", "info_bits",
                "mean_Q_env_kT", "se_Q_env_kT"]
     rows = [[rep.duration / cell.tau, rep.channel.p_e_hat, rep.channel.ci_low,
-             rep.channel.ci_high, rep.information.bits, rep.mean_Q_env / cell.kT,
+             rep.channel.ci_high, rep.info_bits, rep.mean_Q_env / cell.kT,
              rep.se_Q_env / cell.kT] for rep in reports]
+    theory = (cap_mod.erase_dissipation_theory(u0, reports[-1].duration, cell) / cell.kT
+              if reports else None)
     summary = {"n_durations": len(rows),
                "final_info_bits": rows[-1][4] if rows else None,
-               "theory_Q_env_kT": (reports[-1].theory_Q_env / cell.kT) if reports else None}
+               "theory_Q_env_kT": theory}
     return "capacitor_mi_curve", columns, rows, summary
 
 
@@ -411,16 +420,15 @@ def build_parser():
 
     vp = top.add_parser("verify", help="run the acceptance suite", parents=[common],
                         allow_abbrev=False)
-    vp.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    vp.set_defaults(_name=("verify", None))
+    _add_opts(vp, [_SEED_OPT])
+    vp.set_defaults(_spec={"opts": []}, _name=("verify", None))
     return parser
 
 
-def _run_verify(args, file_cfg, output_dir):
+def _run_verify(master_seed):
     from . import verification
 
-    seed = args.master_seed if args.master_seed is not None else 12345
-    results = verification.run_all(master_seed=seed)
+    results = verification.run_all(master_seed=master_seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -438,13 +446,14 @@ def main(argv=None):
 
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}
+        spec = args._spec
+        _check_keys(file_cfg, spec["opts"])
         output_dir = (args.output_dir or file_cfg.get("output_dir")
                       or os.environ.get("THERMOBIT_OUTPUT_DIR") or ".")
 
         if args._name[0] == "verify":
-            return _run_verify(args, file_cfg, output_dir)
+            return _run_verify(_resolve_opts(args, file_cfg, [_SEED_OPT])["master_seed"])
 
-        spec = args._spec
         resolved = _resolve_opts(args, file_cfg, spec["opts"] + _COMMON_OPTS)
         common = {k: resolved.pop(k) for k in ("n", "master_seed", "workers")}
         cfg = ExperimentConfig(

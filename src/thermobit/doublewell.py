@@ -86,11 +86,6 @@ class DoubleWellParams:
         r = (np.asarray(x) / self.well_position) ** 2 - 1.0
         return self.barrier_height * r * r
 
-    def potential_grad(self, x):
-        x = np.asarray(x)
-        x0 = self.well_position
-        return 4.0 * self.barrier_height * x * ((x / x0) ** 2 - 1.0) / (x0 * x0)
-
     def kramers_time_estimate(self):
         """Crude mean escape time: 2*pi*gamma/sqrt(U''_min*|U''_max|) * exp(E/kT)."""
         x0sq = self.well_position ** 2

@@ -14,13 +14,11 @@ import numpy as np
 
 __all__ = [
     "BitChannelStats",
-    "InformationContent",
     "bit_information",
     "memory_entropy",
     "nats_to_bits",
     "wilson_interval",
     "estimate_error_prob",
-    "remaining_information",
 ]
 
 # Two-sided 95% standard-normal quantile.
@@ -42,19 +40,6 @@ class BitChannelStats:
             raise ValueError("errors must lie in [0, trials]")
         if not (0.0 <= self.ci_low <= self.p_e_hat <= self.ci_high <= 1.0):
             raise ValueError("interval must satisfy 0 <= ci_low <= p_e_hat <= ci_high <= 1")
-
-
-@dataclass(frozen=True)
-class InformationContent:
-    """Retrievable information of one bit, with a confidence interval."""
-
-    bits: float
-    ci_low: float = None
-    ci_high: float = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.bits <= 1.0:
-            raise ValueError("bits must lie in [0, 1]")
 
 
 def _xlog2x(x):
@@ -127,19 +112,3 @@ def estimate_error_prob(sent: Sequence[int], received: Sequence[int]) -> BitChan
     return BitChannelStats(trials=trials, errors=errors,
                            p_e_hat=errors / trials, ci_low=lo, ci_high=hi)
 
-
-def remaining_information(stats: BitChannelStats) -> InformationContent:
-    """Retrievable bits at the estimated error rate, with an interval.
-
-    bit_information is symmetric about 0.5 and monotone on each half, so
-    the image of the confidence interval is itself an interval once the
-    fold at 0.5 is accounted for.
-    """
-    at_low = bit_information(stats.ci_low)
-    at_high = bit_information(stats.ci_high)
-    hi = max(at_low, at_high)
-    if stats.ci_low <= 0.5 <= stats.ci_high:
-        lo = 0.0
-    else:
-        lo = min(at_low, at_high)
-    return InformationContent(bits=bit_information(stats.p_e_hat), ci_low=lo, ci_high=hi)

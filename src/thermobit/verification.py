@@ -18,9 +18,9 @@ import numpy as np
 from . import cli
 from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy)
-from .capacitor import (BLOCK as CAPACITOR_BLOCK, ErasureExperimentConfig, _bath_heat,
-                        _erase_rows, _write_rows, erase_dissipation_theory, erase_ensemble,
-                        partial_erase_error_prob, run_erasure_experiment, write_ensemble)
+from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_rows, _write_rows,
+                        erase_dissipation_theory, erase_ensemble, partial_erase_error_prob,
+                        run_erasure_experiment, write_ensemble)
 from .doublewell import BLOCK, DoubleWellParams, measure_escape_time, relax_ensemble
 from .ensemble import run_blocks
 from .infotheory import bit_information, memory_entropy
@@ -87,19 +87,17 @@ def check_write_positivity(master_seed):
 def check_incomplete_erasure(master_seed):
     """Read-error and remaining information after partial erase at u0 = sigma."""
     cell = CellParams.reduced()
-    cfg = ErasureExperimentConfig(cell=cell, u0=1.0,
-                                  durations=(cell.tau, 20.0 * cell.tau),
-                                  n_trajectories=100_000, master_seed=master_seed)
-    short, full = run_erasure_experiment(cfg)
+    short, full = run_erasure_experiment(1.0, (cell.tau, 20.0 * cell.tau), cell, 100_000,
+                                         master_seed)
     pe_theory = partial_erase_error_prob(1.0, cell.tau, cell)
     info_theory = bit_information(pe_theory)
     in_ci = short.channel.ci_low <= pe_theory <= short.channel.ci_high
-    info_dev = abs(short.information.bits - info_theory)
-    ok = in_ci and info_dev <= 0.01 and full.information.bits < 1e-3
+    info_dev = abs(short.info_bits - info_theory)
+    ok = in_ci and info_dev <= 0.01 and full.info_bits < 1e-3
     return ok, (f"p_e CI [{short.channel.ci_low:.4f}, {short.channel.ci_high:.4f}] "
                 f"vs theory {pe_theory:.4f} ({'in' if in_ci else 'OUT'}); "
                 f"info dev {info_dev:.4f} bits (tol 0.01); "
-                f"info(20 tau) = {full.information.bits:.2e} bits (tol 1e-3)")
+                f"info(20 tau) = {full.info_bits:.2e} bits (tol 1e-3)")
 
 
 def check_passive_erasure(master_seed):

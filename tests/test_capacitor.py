@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from thermobit.capacitor import (ErasureExperimentConfig, WriteTimeoutError, _bath_heat,
-                                 _erase_rows, _erasure_block, _first_passage, _write_rows, erase,
-                                 erase_dissipation_theory, erase_ensemble, partial_erase_error_prob,
+from thermobit import ensemble
+from thermobit.capacitor import (WriteTimeoutError, _bath_heat, _erase_rows, _erasure_block,
+                                 _first_passage, _write_rows, erase, erase_dissipation_theory,
+                                 erase_ensemble, partial_erase_error_prob,
                                  run_erasure_experiment, write_bit, write_ensemble)
+from thermobit.infotheory import bit_information
 from thermobit.ou import CellParams, _transition
 from thermobit.streams import make_stream
 
@@ -202,58 +204,53 @@ def test_ledger_identity_property(v0, duration, seed):
 
 class TestErasureExperiment:
     def test_zero_duration_keeps_full_information(self):
-        cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(0.0,),
-                                      n_trajectories=500, master_seed=23)
-        (rep,) = run_erasure_experiment(cfg)
-        assert rep.channel.p_e_hat == 0.0
-        assert rep.information.bits == 1.0
+        (rep,) = run_erasure_experiment(1.0, (0.0,), CELL, 500, 23)
+        assert rep.channel.p_e_hat == 0.0 and rep.channel.trials == 500
+        assert rep.info_bits == 1.0
 
     def test_partial_erase_information(self):
-        cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(CELL.tau,),
-                                      n_trajectories=20_000, master_seed=24)
-        (rep,) = run_erasure_experiment(cfg)
-        assert rep.information.bits == pytest.approx(0.0693792861201491, abs=0.015)
+        (rep,) = run_erasure_experiment(1.0, (CELL.tau,), CELL, 20_000, 24)
+        assert rep.info_bits == bit_information(rep.channel.p_e_hat)
+        assert rep.info_bits == pytest.approx(0.0693792861201491, abs=0.015)
         assert rep.channel.ci_low <= 0.3461915440836959 <= rep.channel.ci_high
 
     def test_partial_erase_heat_and_error_are_exact(self):
         # 0.1342 tau is the first non-zero point of the default mi-curve grid;
         # an erase rounded up to the dt grid runs it as 0.14 tau, 5 SE off.
-        cfg = ErasureExperimentConfig(cell=CELL, u0=0.5, durations=(0.13422549052450547, 1.0),
-                                      n_trajectories=100_000, master_seed=12345)
-        for rep in run_erasure_experiment(cfg):
+        for rep in run_erasure_experiment(0.5, (0.13422549052450547, 1.0), CELL, 100_000, 12345):
             exact = exact_erase_heat(0.5, rep.duration)
-            assert rep.theory_Q_env == pytest.approx(exact, rel=1e-12)
+            assert erase_dissipation_theory(0.5, rep.duration, CELL) == pytest.approx(exact,
+                                                                                     rel=1e-12)
             assert abs(rep.mean_Q_env - exact) < 3.0 * rep.se_Q_env
             pe = partial_erase_error_prob(0.5, rep.duration, CELL)
             assert rep.channel.ci_low <= pe <= rep.channel.ci_high
 
     def test_information_decays_with_duration(self):
-        cfg = ErasureExperimentConfig(cell=CELL, u0=1.0,
-                                      durations=(0.0, 0.5, 2.0, 20.0),
-                                      n_trajectories=4000, master_seed=25)
-        reports = run_erasure_experiment(cfg)
-        info = [r.information.bits for r in reports]
+        reports = run_erasure_experiment(1.0, (0.0, 0.5, 2.0, 20.0), CELL, 4000, 25)
+        info = [r.info_bits for r in reports]
         # Non-increasing up to statistical noise.
         slack = 0.02
         assert all(b <= a + slack for a, b in zip(info, info[1:]))
         assert info[0] == 1.0 and info[-1] < 0.01
 
     def test_config_validation(self):
+        for u0, durations, n in ((-1.0, (1.0,), 10), (1.0, (-1.0,), 10), (1.0, (1.0,), 0),
+                                 (1.0, (float("nan"),), 10), (math.inf, (1.0,), 10),
+                                 (1.0, (1.0, math.inf), 10)):
+            with pytest.raises(ValueError):
+                run_erasure_experiment(u0, durations, CELL, n, 0)
         with pytest.raises(ValueError):
-            ErasureExperimentConfig(cell=CELL, u0=-1.0, durations=(1.0,),
-                                    n_trajectories=10, master_seed=0)
+            run_erasure_experiment(1.0, (1.0,), CELL, 10, 0, worker_count=0)
+
+    @pytest.mark.parametrize("durations", [(1.0, float("nan")), (1.0, -1.0), (2.0, 1.0)])
+    def test_input_is_checked_before_any_block(self, monkeypatch, durations):
+        # A bad later duration must stop the run before the first duration's blocks.
+        calls = []
+        monkeypatch.setattr(ensemble, "make_stream",
+                            lambda *args: calls.append(args) or make_stream(*args))
         with pytest.raises(ValueError):
-            ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(-1.0,),
-                                    n_trajectories=10, master_seed=0)
-        with pytest.raises(ValueError):
-            ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0,),
-                                    n_trajectories=0, master_seed=0)
-        with pytest.raises(ValueError):
-            ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(float("nan"),),
-                                    n_trajectories=10, master_seed=0)
-        with pytest.raises(ValueError):
-            ErasureExperimentConfig(cell=CELL, u0=math.inf, durations=(1.0,),
-                                    n_trajectories=10, master_seed=0)
+            run_erasure_experiment(1.0, durations, CELL, 10, 0)
+        assert calls == []
 
 
 class OnesStream:
@@ -395,7 +392,5 @@ class TestBlockKernels:
         assert np.array_equal(reads, (v_final >= 0.0).astype(bits.dtype))
 
     def test_equal_durations_use_distinct_streams(self):
-        cfg = ErasureExperimentConfig(cell=CELL, u0=1.0, durations=(1.0, 1.0),
-                                      n_trajectories=300, master_seed=33)
-        first, second = run_erasure_experiment(cfg)
+        first, second = run_erasure_experiment(1.0, (1.0, 1.0), CELL, 300, 33)
         assert first.mean_Q_env != second.mean_Q_env

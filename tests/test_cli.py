@@ -56,6 +56,11 @@ class TestExitCodes:
         ["icecube", "--latent-heat", "nan"],
         ["icecube", "--latent-heat", "inf"],
         ["icecube", "--ice-density", "-1"],
+        ["icecube", "--volume-cm3", "1e308"],  # Q overflows
+        ["icecube", "--volume-cm3", "1e300"],  # Q finite, Q_kT overflows
+        ["anderson", "--delta-s-bits", "1e308", "--temperature-K", "1e308"],
+        ["brillouin", "--temperature-K", "5e-324"],  # kT underflows to 0
+        ["anderson", "--temperature-K", "5e-324"],
     ])
     def test_non_finite_or_non_physical_bounds_input_is_config_error(self, tmp_path, run_cli,
                                                                      argv):
@@ -260,6 +265,37 @@ class TestConfigPrecedence:
         code, _, _ = run_cli(["info", "eval", "--config", str(cfg),
                               "--output-dir", str(tmp_path)])
         assert code == 3
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, run_cli):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p_ee = 0.25\nn = 10\nworkers = 1\noutput_dir = elsewhere\n")
+        code, _, err = run_cli(["info", "eval", "--config", str(cfg),
+                                "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "p_ee" in err and "output_dir" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv, text, seed", [
+        ([], "master_seed = 7\n", 7),
+        (["--master-seed", "9"], "master_seed = 7\n", 9),
+        ([], "n = 10\n", 12345),
+    ])
+    def test_verify_reads_seed_from_config_file(self, tmp_path, monkeypatch, capsys,
+                                                 argv, text, seed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        seeds = []
+        monkeypatch.setattr(verification, "run_all", lambda master_seed: seeds.append(
+            master_seed) or [verification.CriterionResult("1 fake", True, "ok")])
+        assert cli.main(["verify", "--config", str(cfg)] + argv) == 0
+        assert seeds == [seed]
+
+    def test_verify_refuses_unknown_config_key(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("master_sed = 7\n")
+        monkeypatch.setattr(verification, "run_all", lambda master_seed: pytest.fail("ran"))
+        assert cli.main(["verify", "--config", str(cfg)]) == 3
+        assert "master_sed" in capsys.readouterr().err
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch, run_cli):
         monkeypatch.setenv("THERMOBIT_OUTPUT_DIR", str(tmp_path))

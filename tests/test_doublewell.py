@@ -59,16 +59,18 @@ class TestParams:
 def scalar_em_path(p, x, z, dt, temperature=None):
     """Reference loop: x <- x - U'(x)*dt/gamma + amp*z, one Python float at a time.
 
-    z[k, i] is the noise of step k + 1 of row i; returns the path in the
-    same layout.
+    U'(x) = 4*E*x*((x/x0)^2 - 1)/x0^2 is written out here.  z[k, i] is the
+    noise of step k + 1 of row i; returns the path in the same layout.
     """
     kT = p.boltzmann * (temperature if temperature is not None else p.temperature)
     amp = math.sqrt(2.0 * kT * dt / p.damping)
+    x0 = p.well_position
     path = np.empty_like(z)
     for i, xi in enumerate(x):
         xi = float(xi)
         for k in range(z.shape[0]):
-            xi = xi - float(p.potential_grad(xi)) * dt / p.damping + amp * z[k, i]
+            grad = 4.0 * p.barrier_height * xi * ((xi / x0) ** 2 - 1.0) / (x0 * x0)
+            xi = xi - grad * dt / p.damping + amp * z[k, i]
             path[k, i] = xi
     return path
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermobit.infotheory import (BitChannelStats, bit_information, estimate_error_prob,
-                                  memory_entropy, nats_to_bits, remaining_information,
-                                  wilson_interval)
+                                  memory_entropy, nats_to_bits, wilson_interval)
 from thermobit.streams import make_stream
 
 LN2 = math.log(2.0)
@@ -128,30 +127,6 @@ class TestEstimateErrorProb:
             estimate_error_prob([0, 1], [0])
         with pytest.raises(ValueError):
             estimate_error_prob([], [])
-
-
-class TestRemainingInformation:
-    def test_point_value(self):
-        stats = estimate_error_prob([1] * 1000, [0] * 346 + [1] * 654)
-        info = remaining_information(stats)
-        assert info.bits == pytest.approx(bit_information(0.346), abs=1e-15)
-        assert info.ci_low <= info.bits <= info.ci_high
-
-    def test_interval_folds_at_half(self):
-        # When the CI straddles 0.5 the retrievable information can be
-        # exactly zero, so the lower endpoint must be 0.
-        stats = BitChannelStats(trials=100, errors=50, p_e_hat=0.5,
-                                ci_low=0.40, ci_high=0.60)
-        info = remaining_information(stats)
-        assert info.ci_low == 0.0
-        assert info.bits == 0.0
-
-    def test_interval_away_from_half(self):
-        stats = BitChannelStats(trials=1000, errors=100, p_e_hat=0.1,
-                                ci_low=0.08, ci_high=0.12)
-        info = remaining_information(stats)
-        assert info.ci_low == pytest.approx(bit_information(0.12), abs=1e-15)
-        assert info.ci_high == pytest.approx(bit_information(0.08), abs=1e-15)
 
 
 class TestBitChannelStats:
