@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensemble import run_blocks
 from .infotheory import BitChannelStats, bit_information, estimate_error_prob
-from .ou import CellParams, _transition, ou_sample_stationary, ou_step
+from .ou import CellParams, _advance, _transition, ou_sample_stationary, ou_step
 from .streams import RngStream
 
 __all__ = [
@@ -41,8 +41,8 @@ __all__ = [
     "BLOCK",
 ]
 
-# Trajectories per ensemble task.  Each block owns one stream, so the
-# stream key and the task overhead are paid once per BLOCK trajectories.
+# Trajectories per ensemble task.  Each block owns one stream key, so the
+# re-key and the task overhead are paid once per BLOCK trajectories.
 BLOCK = 256
 
 # Normals drawn per row per first-passage round.
@@ -50,6 +50,13 @@ _ROUND_WIDTH = 128
 # Smallest mu^(_ROUND_WIDTH - 1) walked by one prefix sum (dt <= 2.72 tau).
 # The scan weights s*mu^-i then stay below 1.3e304 for any finite kT/C.
 _SCAN_FLOOR = 1e-150
+
+# No standard normal that numpy's Generator draws exceeds 14 in magnitude:
+# its ziggurat tail returns r - log(1 - u)/r with r = 3.654 and
+# 1 - u >= 2**-53, at most 13.71.
+_Z_BOUND = 14.0
+# Largest value the heat statistics of a run may form (float max is 1.8e308).
+_HEAT_SUM_MAX = 1e300
 
 
 class WriteTimeoutError(RuntimeError):
@@ -153,7 +160,8 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     weights limits the scan.  Above 2.72 tau the round walks the
     recurrence sample by sample.  A step count can therefore differ from
     a sample-by-sample walk only when a sample lies within rounding of
-    +-u0.  The drawn normals are left as drawn.
+    +-u0.  The drawn normals are left as drawn.  The walk stops with
+    WriteTimeoutError once `walked` passes the step count max_duration/dt.
     """
     mu, s = _transition(dt, p)
     decay = mu ** np.arange(_ROUND_WIDTH)
@@ -165,6 +173,7 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     sign = np.sign(v[active] - target[active])
     level = target[active] * sign
     prev = v[active]
+    max_steps = max_duration / dt
     walked = 0
     while active.size:
         z = rng.standard_normal((active.size, _ROUND_WIDTH))
@@ -183,7 +192,7 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
         walked += _ROUND_WIDTH
         miss = ~hit
         active, sign, level, prev = active[miss], sign[miss], level[miss], path[miss, -1]
-        if active.size and walked * dt > max_duration:
+        if active.size and walked > max_steps:
             raise WriteTimeoutError(f"no passage of {active.size} writes within {max_duration!r} s "
                                     f"(u0/sigma = {abs(target[0]) / p.sigma_st:.3g})")
     return steps
@@ -196,15 +205,31 @@ def _check_write_args(u0, dt):
         raise ValueError(f"dt must be positive, got {dt!r}")
 
 
+def _write_guard(u0, p: CellParams, dt, max_duration=None):
+    """The write's time guard, checked as a step count max_duration/dt.
+
+    The default is generous: the mean first-passage time to u0 from the
+    bulk is O(tau * exp(u0^2 / (2 sigma^2))) for u0 above sigma, and the
+    guard is 1e4 times that.  The count must be finite and below 2**63,
+    as the double well's step counts are (doublewell._step_count); a walk
+    could never pass a larger one, so such a write is refused up front.
+    """
+    _check_write_args(u0, dt)
+    if max_duration is None:
+        try:
+            max_duration = 1e4 * p.tau * math.exp(0.5 * (u0 / p.sigma_st) ** 2)
+        except OverflowError:
+            max_duration = math.inf
+    if not max_duration / dt < 2.0 ** 63:
+        raise ValueError(f"write guard of {max_duration / dt:.3g} steps of dt overflows "
+                         f"a 64-bit step count")
+    return max_duration
+
+
 def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream, max_duration=None):
     """Write bits[i] on row i; return (v_start, target, steps, control_cost) arrays."""
     u0 = float(u0)
-    _check_write_args(u0, dt)
-    if max_duration is None:
-        # Generous guard: mean first-passage time to u0 from the bulk is
-        # O(tau * exp(u0^2 / (2 sigma^2))) for u0 above sigma.
-        max_duration = 1e4 * p.tau * math.exp(0.5 * (u0 / p.sigma_st) ** 2)
-
+    max_duration = _write_guard(u0, p, dt, max_duration)
     target = np.where(bits == 1, u0, -u0)
     v_start = ou_sample_stationary(p, rng, size=target.size)
     steps = _first_passage(v_start, target, p, dt, rng, max_duration)
@@ -263,22 +288,44 @@ def erase(v0, duration, p: CellParams, dt, rng: RngStream):
                        bath_heat=_bath_heat(p.capacitance, v0, v_final))
 
 
+def _check_heat_range(u0, p: CellParams, n):
+    """Refuse a level u0 at which the heat statistics of n erases could overflow.
+
+    An erase from +-u0 ends within |u0| + 14*sigma_st (mu <= 1, s <= sigma_st,
+    |z| <= _Z_BOUND), so every heat lies within +-x^2/2 kT with
+    x = |u0|/sigma_st + 14, and its deviation from the mean within x^2 kT.
+    The largest value a run forms is the sum over rows of the squared heat
+    deviation, behind the SE: at most n*x^4 kT^2 in joules, n*x^4 in units
+    of kT.  Both must stay below 1e300, which holds for |u0| up to about
+    5e74 sigma_st at n = 10 and 2e73 sigma_st at n = 10**7 (reduced units).
+    """
+    x = abs(u0) / p.sigma_st + _Z_BOUND
+    dev = x * x * max(1.0, p.kT)  # float products overflow to inf, never raise
+    if not n * dev * dev < _HEAT_SUM_MAX:
+        raise ValueError(f"u0 = {u0!r} V ({abs(u0) / p.sigma_st:.3g} sigma_st) overflows "
+                         f"the heat statistics of {n} erases")
+
+
 def _write_block(stream, rows, bit, u0, p, dt):
     v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, p, dt, stream)
     return _bath_heat(p.capacitance, v_start, target), steps, control
 
 
-def _erase_block(stream, rows, v0, duration, p):
-    v0 = np.full(rows, float(v0))
-    return (_bath_heat(p.capacitance, v0, _erase_rows(v0, duration, p, stream)),)
+# Erase blocks only draw; their ensemble computes the states and heats
+# once, on the joined arrays, with the same elementwise IEEE operations.
+def _erase_block(stream, rows, duration):
+    """The draws of `rows` erases lasting `duration`: one normal per row, none at 0."""
+    return (stream.standard_normal(rows) if duration > 0.0 else np.zeros(0),)
 
 
-def _erasure_block(stream, rows, u0, duration, p):
-    # A write ends snapped to +-u0 and the OU erase is Markov: only that level matters.
-    bits = stream.integers(0, 2, size=rows)
-    target = np.where(bits == 1, u0, -u0)
-    v_final = _erase_rows(target, duration, p, stream)
-    return bits, (v_final >= 0.0).astype(bits.dtype), _bath_heat(p.capacitance, target, v_final)
+def _erasure_block(stream, rows, duration):
+    """One random bit per row, then the row's erase draws (see _erase_block)."""
+    return (stream.integers(0, 2, size=rows),) + _erase_block(stream, rows, duration)
+
+
+def _erased(v0, duration, p: CellParams, z):
+    """v0 thermalized for `duration` on the normals z of _erase_block."""
+    return v0 if duration == 0.0 else _advance(v0, duration, p, z)
 
 
 def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
@@ -290,43 +337,54 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    _check_write_args(u0, dt)
+    _write_guard(float(u0), p, dt)
     return run_blocks(partial(_write_block, bit=bit, u0=u0, p=p, dt=dt), n, BLOCK, master_seed,
                       worker_count=worker_count, stream_offset=stream_offset)
 
 
 def erase_ensemble(v0, duration, p: CellParams, n, master_seed, *,
                    worker_count=1, stream_offset=0):
-    """Bath heat of n independent erases from v0 (see erase), as an array."""
+    """Bath heat of n independent erases from v0 (see erase), as an array.
+
+    v0 must pass _check_heat_range; it is checked before any block runs.
+    """
     _check_erase_args(v0, duration)
-    (heat,) = run_blocks(partial(_erase_block, v0=v0, duration=duration, p=p), n, BLOCK,
-                         master_seed, worker_count=worker_count, stream_offset=stream_offset)
-    return heat
+    _check_heat_range(float(v0), p, n)
+    (z,) = run_blocks(partial(_erase_block, duration=duration), n, BLOCK, master_seed,
+                      worker_count=worker_count, stream_offset=stream_offset)
+    v0 = np.full(n, float(v0))
+    return _bath_heat(p.capacitance, v0, _erased(v0, duration, p, z))
 
 
 def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, worker_count=1):
     """Latch random bits at +-u0 on n cells, erase for each duration, read, and tally.
 
     Returns one ErasureReport per duration.  The durations must be finite,
-    non-negative and sorted ascending; they and u0 are checked before any
-    block runs.  Each duration owns a disjoint range of block stream
-    indices, so results are reproducible and independent of the worker
-    count.
+    non-negative, sorted ascending and at least one; u0 must be positive
+    and pass _check_heat_range.  Both are checked before any block runs.
+    Each duration owns a disjoint range of block stream indices, so results
+    are reproducible and independent of the worker count.
     """
     u0 = float(u0)
     durations = [float(d) for d in durations]
     if not (math.isfinite(u0) and u0 > 0.0):
         raise ValueError(f"u0 must be positive, got {u0!r}")
+    _check_heat_range(u0, p, n)
+    if not durations:
+        raise ValueError("the duration grid is empty")
     if not all(0.0 <= d < math.inf for d in durations):
         raise ValueError("durations must be finite and non-negative")
     if durations != sorted(durations):
         raise ValueError("duration grid must be sorted ascending")
     reports = []
     for d_idx, duration in enumerate(durations):
-        task = partial(_erasure_block, u0=u0, duration=duration, p=p)
-        bits, reads, q = run_blocks(task, n, BLOCK, master_seed, worker_count=worker_count,
-                                    stream_offset=d_idx * -(-n // BLOCK))
-        channel = estimate_error_prob(bits, reads)
+        bits, z = run_blocks(partial(_erasure_block, duration=duration), n, BLOCK, master_seed,
+                             worker_count=worker_count, stream_offset=d_idx * -(-n // BLOCK))
+        # A write ends snapped to +-u0 and the OU erase is Markov: only that level matters.
+        target = np.where(bits == 1, u0, -u0)
+        v_final = _erased(target, duration, p, z)
+        q = _bath_heat(p.capacitance, target, v_final)
+        channel = estimate_error_prob(bits, (v_final >= 0.0).astype(bits.dtype))
         reports.append(ErasureReport(
             duration=duration,
             mean_Q_env=float(q.mean()),

@@ -38,6 +38,11 @@ from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
 __all__ = ["main", "ExperimentConfig"]
 
 
+def _check_seed(master_seed):
+    if not 0 <= master_seed < 2 ** 64:
+        raise ConfigError(f"master_seed must lie in [0, 2**64), got {master_seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved run configuration, echoed into the manifest."""
@@ -58,8 +63,7 @@ class ExperimentConfig:
         if not 1 <= self.worker_count <= MAX_WORKERS:
             raise ConfigError(f"worker_count must lie in [1, {MAX_WORKERS}], "
                               f"got {self.worker_count}")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
+        _check_seed(self.master_seed)
         # Every subcommand option is checked by the library call it feeds,
         # before any block runs; a ValueError there exits 3 as well.
 
@@ -214,10 +218,8 @@ def _run_capacitor_mi_curve(cfg, cell):
     rows = [[rep.duration / cell.tau, rep.channel.p_e_hat, rep.channel.ci_low,
              rep.channel.ci_high, rep.info_bits, rep.mean_Q_env / cell.kT,
              rep.se_Q_env / cell.kT] for rep in reports]
-    theory = (cap_mod.erase_dissipation_theory(u0, reports[-1].duration, cell) / cell.kT
-              if reports else None)
-    summary = {"n_durations": len(rows),
-               "final_info_bits": rows[-1][4] if rows else None,
+    theory = cap_mod.erase_dissipation_theory(u0, reports[-1].duration, cell) / cell.kT
+    summary = {"n_durations": len(rows), "final_info_bits": rows[-1][4],
                "theory_Q_env_kT": theory}
     return "capacitor_mi_curve", columns, rows, summary
 
@@ -452,7 +454,9 @@ def main(argv=None):
                       or os.environ.get("THERMOBIT_OUTPUT_DIR") or ".")
 
         if args._name[0] == "verify":
-            return _run_verify(_resolve_opts(args, file_cfg, [_SEED_OPT])["master_seed"])
+            master_seed = _resolve_opts(args, file_cfg, [_SEED_OPT])["master_seed"]
+            _check_seed(master_seed)
+            return _run_verify(master_seed)
 
         resolved = _resolve_opts(args, file_cfg, spec["opts"] + _COMMON_OPTS)
         common = {k: resolved.pop(k) for k in ("n", "master_seed", "workers")}

@@ -7,6 +7,10 @@ completion order.  Every ensemble runs through `run_blocks`, the one
 layout of trajectories into blocks and blocks onto streams;
 `run_parallel_ensemble` is run_blocks with one trajectory per block.
 
+A share of blocks runs on one stream object, re-keyed (RngStream.rekey)
+before each block, so a task must not keep its stream after it returns:
+the share's next block would re-key it and draw from it.
+
 At worker_count > 1 the blocks are split evenly by count into
 min(worker_count, number of blocks) contiguous shares, whose block counts
 differ by at most one, and each share is one pool task: the worker runs
@@ -55,13 +59,6 @@ class EnsembleWorkerError(RuntimeError):
         # boundary; the default exception reduce would replay __init__
         # with the formatted message only and break unpickling.
         return (self.__class__, (self.stream_index, self.cause_text))
-
-
-def _run_one(task, master_seed, index, *args):
-    try:
-        return task(make_stream(master_seed, index), *args)
-    except Exception as exc:  # noqa: BLE001 - re-raised with stream identity
-        raise EnsembleWorkerError(index, exc) from exc
 
 
 def _pool(worker_count):
@@ -119,17 +116,28 @@ def _join(parts):
 
 
 def _run_block_share(task, n, block, master_seed, stream_offset, blocks):
-    return _join([_run_one(task, master_seed, stream_offset + k, min(block, n - k * block))
-                  for k in blocks])
+    """Run the blocks in order on one stream, re-keyed for each; join their columns."""
+    parts, stream = [], None
+    for k in blocks:
+        index = stream_offset + k
+        try:
+            if stream is None:
+                stream = make_stream(master_seed, index)
+            else:
+                stream.rekey(index)
+            parts.append(task(stream, min(block, n - k * block)))
+        except Exception as exc:  # noqa: BLE001 - re-raised with stream identity
+            raise EnsembleWorkerError(index, exc) from exc
+    return _join(parts)
 
 
 def run_blocks(task, n, block, master_seed, *, worker_count=1, stream_offset=0):
     """Run task(stream, rows) on ceil(n/block) blocks; join each output in block order.
 
-    Block k uses make_stream(master_seed, stream_offset + k) and holds
-    `block` rows, except the last, which holds the rest.  Every task
-    returns a tuple of arrays; the result is the tuple of their
-    concatenations along the last (row) axis.  At worker_count > 1 the
+    Block k draws from a stream in the state of make_stream(master_seed,
+    stream_offset + k) and holds `block` rows, except the last, which
+    holds the rest.  Every task returns a tuple of arrays; the result is
+    the tuple of their concatenations along the last (row) axis.  At worker_count > 1 the
     blocks run in shares (see `_shares`), each joined in its worker.
     """
     _check_counts(n, worker_count)

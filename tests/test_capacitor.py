@@ -11,7 +11,7 @@ from thermobit.capacitor import (WriteTimeoutError, _bath_heat, _erase_rows, _er
                                  _first_passage, _write_rows, erase, erase_dissipation_theory,
                                  erase_ensemble, partial_erase_error_prob,
                                  run_erasure_experiment, write_bit, write_ensemble)
-from thermobit.infotheory import bit_information
+from thermobit.infotheory import bit_information, estimate_error_prob
 from thermobit.ou import CellParams, _transition
 from thermobit.streams import make_stream
 
@@ -373,11 +373,12 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("duration", [0.0, 0.3])
     def test_erasure_block_erases_from_the_latched_level(self, duration):
-        # One bit and, past duration 0, one normal per row: the erase starts
-        # at the written level +-u0 itself, with no write simulated first.
-        rows, u0 = 64, 0.8
-        rec = RecordingStream(make_stream(34, 0))
-        bits, reads, heat = _erasure_block(rec, rows, u0, duration, CELL)
+        # A block only draws: one bit and, past duration 0, one normal per
+        # row.  Its ensemble erases from the written level +-u0 itself, with
+        # no write simulated first.
+        rows, u0, seed = 64, 0.8, 34
+        rec = RecordingStream(make_stream(seed, 0))
+        bits, z = _erasure_block(rec, rows, duration)
         assert len(rec.integer_draws) == 1 and rec.integer_draws[0] is bits
         assert bits.shape == (rows,)
         target = np.where(bits == 1, u0, -u0)
@@ -385,11 +386,14 @@ class TestBlockKernels:
             assert rec.draws == []
             v_final = target
         else:
-            assert [z.shape for z in rec.draws] == [(rows,)]
+            assert [d.shape for d in rec.draws] == [(rows,)] and rec.draws[0] is z
             mu, s = _transition(duration, CELL)
-            v_final = target * mu + s * rec.draws[0]
-        assert np.array_equal(heat, _bath_heat(CELL.capacitance, target, v_final))
-        assert np.array_equal(reads, (v_final >= 0.0).astype(bits.dtype))
+            v_final = target * mu + s * z
+        heat = _bath_heat(CELL.capacitance, target, v_final)
+        (rep,) = run_erasure_experiment(u0, (duration,), CELL, rows, seed)
+        assert rep.mean_Q_env == float(heat.mean())
+        assert rep.se_Q_env == float(heat.std(ddof=1) / math.sqrt(rows))
+        assert rep.channel == estimate_error_prob(bits, (v_final >= 0.0).astype(bits.dtype))
 
     def test_equal_durations_use_distinct_streams(self):
         first, second = run_erasure_experiment(1.0, (1.0, 1.0), CELL, 300, 33)

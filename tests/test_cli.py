@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -95,6 +96,36 @@ class TestExitCodes:
         assert "config error" in err
         assert not list(tmp_path.glob("*.csv"))
         assert not built
+
+    @pytest.mark.parametrize("argv", [
+        ["capacitor", "erase", "--u0-sigma", "1e200"],  # heat and its SE overflow
+        ["capacitor", "mi-curve", "--u0-sigma", "1e308", "--durations-tau", "0,1"],
+        ["capacitor", "mi-curve", "--durations-tau", ""],  # no duration, no row
+        ["capacitor", "write", "--dt-tau", "1e-300"],  # guard of 1.6e304 steps
+        ["capacitor", "write", "--u0-sigma", "40"],  # guard time exp(800) overflows
+    ], ids=["erase-u0-1e200", "mi-curve-u0-1e308", "mi-curve-empty-grid", "write-dt-1e-300",
+            "write-u0-40"])
+    def test_capacitor_run_out_of_range_is_refused_before_any_block(
+            self, tmp_path, monkeypatch, run_cli, argv):
+        made = []
+        monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
+        code, _, err = run_cli(argv + ["--n", "10", "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "config error" in err
+        assert not list(tmp_path.glob("*.csv"))
+        assert not made
+
+    @pytest.mark.parametrize("sub, argv", [
+        ("erase", ["--u0-sigma", "1e6"]),
+        ("mi-curve", ["--u0-sigma", "1e6", "--durations-tau", "0,1"]),
+    ], ids=["erase", "mi-curve"])
+    def test_large_finite_u0_still_runs(self, tmp_path, run_cli, sub, argv):
+        code, _, _ = run_cli(["capacitor", sub] + argv + ["--n", "10",
+                                                          "--output-dir", str(tmp_path)])
+        assert code == 0
+        (csv_path,) = tmp_path.glob("*.csv")
+        for line in csv_path.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(field)) for field in line.split(","))
 
     @pytest.mark.parametrize("argv", [
         ["capacitor", "mi-curve", "--durations", "-1,1"],
@@ -213,13 +244,6 @@ class TestOutputs:
             for field in line.split(","):
                 float(field)
 
-    def test_empty_duration_grid_yields_header_only_csv(self, tmp_path, run_cli):
-        code, _, _ = run_cli(["capacitor", "mi-curve", "--durations-tau", "",
-                              "--n", "100", "--output-dir", str(tmp_path)])
-        assert code == 0
-        lines = (tmp_path / "capacitor_mi_curve.csv").read_text().splitlines()
-        assert len(lines) == 1
-
     def test_manifest_checksum_matches_csv(self, tmp_path, run_cli):
         import hashlib
 
@@ -296,6 +320,20 @@ class TestConfigPrecedence:
         monkeypatch.setattr(verification, "run_all", lambda master_seed: pytest.fail("ran"))
         assert cli.main(["verify", "--config", str(cfg)]) == 3
         assert "master_sed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--master-seed", "-1"], None),
+        (["--master-seed", str(2**64)], None),
+        ([], "master_seed = -1\n"),
+    ], ids=["flag-minus-1", "flag-2**64", "file-minus-1"])
+    def test_verify_refuses_seed_out_of_range(self, tmp_path, monkeypatch, capsys, argv, text):
+        if text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            argv = argv + ["--config", str(cfg)]
+        monkeypatch.setattr(verification, "run_all", lambda master_seed: pytest.fail("ran"))
+        assert cli.main(["verify"] + argv) == 3
+        assert "master_seed must lie in [0, 2**64)" in capsys.readouterr().err
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch, run_cli):
         monkeypatch.setenv("THERMOBIT_OUTPUT_DIR", str(tmp_path))

@@ -237,6 +237,28 @@ class TestShares:
                        worker_count=workers, stream_offset=offset)
         assert exc_info.value.stream_index == offset + want
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("at", [0, 1, 2, 3])
+    def test_a_failing_block_reports_its_own_index(self, workers, at):
+        # Five blocks; at 2 workers the shares are (0, 1) and (2, 3, 4), so
+        # blocks 0 and 2 start a share there and 1 and 3 run re-keyed.
+        offset = 40
+        with pytest.raises(EnsembleWorkerError) as exc_info:
+            run_blocks(partial(fail_in, at={offset + at}), 500, 100, 71,
+                       worker_count=workers, stream_offset=offset)
+        assert exc_info.value.stream_index == offset + at
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("offset", [2**64 - 3, 2**64 - 2])
+    def test_stream_index_out_of_range_reports_its_block(self, workers, offset):
+        # Block 2**64 - offset is the first with no key: a re-keyed block
+        # (3 of share (2, 3, 4), or 2 at one worker) or the first of a share.
+        with pytest.raises(EnsembleWorkerError) as exc_info:
+            run_blocks(partial(fail_in, at=()), 500, 100, 72, worker_count=workers,
+                       stream_offset=offset)
+        assert exc_info.value.stream_index == 2**64
+        assert "stream_index must fit" in exc_info.value.cause_text
+
     def test_one_share_still_runs_in_a_worker(self):
         (pids,) = run_blocks(pid_block, 10, 256, 70, worker_count=2)
         assert pids.shape == (10,) and len(set(pids)) == 1

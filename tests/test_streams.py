@@ -36,3 +36,39 @@ def test_output_independent_of_consumption_pattern():
 def test_key_range_validated(seed, index):
     with pytest.raises(ValueError):
         make_stream(seed, index)
+
+
+def draw(kind, stream):
+    if kind == "normal":
+        return stream.standard_normal(6).tolist()
+    if kind == "uniform":
+        return stream.uniform(6).tolist()
+    return stream.integers(0, 2, size=67).tolist()
+
+
+# What the stream drew before its re-key: nothing, one 64-bit word of the
+# four-word Philox buffer, or an odd count of 32-bit halves (a spare half kept).
+USES = {
+    "fresh": lambda stream: None,
+    "one normal": lambda stream: stream.standard_normal(),
+    "three bits": lambda stream: stream.integers(0, 2, size=3),
+    "mixed": lambda stream: (stream.uniform(5), stream.integers(0, 2, size=1)),
+}
+
+
+@pytest.mark.parametrize("kind", ["normal", "uniform", "integers"])
+@pytest.mark.parametrize("use", list(USES))
+@pytest.mark.parametrize("seed, index", [(0, 0), (2**64 - 1, 2**64 - 1), (5, 2**64 - 1)])
+def test_rekeyed_stream_draws_what_a_fresh_stream_draws(seed, index, use, kind):
+    stream = make_stream(seed, 1)
+    USES[use](stream)
+    stream.rekey(index)
+    assert (stream.master_seed, stream.stream_index) == (seed, index)
+    assert draw(kind, stream) == draw(kind, make_stream(seed, index))
+
+
+@pytest.mark.parametrize("index", [-1, 2**64])
+def test_rekey_range_validated(index):
+    stream = make_stream(0, 3)
+    with pytest.raises(ValueError, match="stream_index"):
+        stream.rekey(index)
