@@ -7,6 +7,8 @@ measures, and the closed-form dissipation bounds they are compared
 against.
 """
 
+__version__ = "0.1.0"  # set before the submodules load: reporting reads it
+
 from .bounds import (BoundComparison, IceCubeModel, NoErasureError, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy,
                      memory_entropy_audit)
@@ -20,5 +22,3 @@ from .infotheory import (BitChannelStats, bit_information, estimate_error_prob,
                          memory_entropy, nats_to_bits, wilson_interval)
 from .ou import BOLTZMANN, CellParams, ou_sample_stationary, ou_step
 from .streams import RngStream, make_stream
-
-__version__ = "0.1.0"

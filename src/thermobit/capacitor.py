@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensemble import run_blocks
 from .infotheory import BitChannelStats, bit_information, estimate_error_prob
-from .ou import CellParams, _advance, _transition, ou_sample_stationary, ou_step
+from .ou import CellParams, _advance, _transition, ou_sample_stationary
 from .streams import RngStream
 
 __all__ = [
@@ -268,12 +268,6 @@ def _check_erase_args(v0, duration):
         raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
 
 
-def _erase_rows(v0, duration, p: CellParams, rng: RngStream):
-    """Thermalize each row of v0 for exactly `duration`: one OU draw per row, none at 0."""
-    _check_erase_args(v0, duration)
-    return v0 if duration == 0.0 else ou_step(v0, duration, p, rng)
-
-
 def erase(v0, duration, p: CellParams, dt, rng: RngStream):
     """Reconnect the resistor and thermalize for `duration` (no measurement).
 
@@ -283,7 +277,8 @@ def erase(v0, duration, p: CellParams, dt, rng: RngStream):
     positionally.  The bath heat follows from the ledger identity alone.
     """
     v0 = float(v0)
-    v_final = _erase_rows(np.array([v0]), duration, p, rng).item()
+    _check_erase_args(v0, duration)
+    v_final = _erased(np.array([v0]), duration, p, *_erase_block(rng, 1, duration)).item()
     return EraseRecord(v_start=v0, v_final=v_final, duration=float(duration),
                        bath_heat=_bath_heat(p.capacitance, v0, v_final))
 

@@ -9,8 +9,11 @@ Subcommands:
     verify                           run the full acceptance suite
 
 Every run writes a CSV plus a JSON manifest to the output directory and
-prints a JSON summary to stdout.  Exit codes: 0 success, 2 usage error,
-3 config validation error, 4 runtime or infeasibility error.
+prints a JSON summary to stdout.  The manifest's config holds the option
+names, so written back as `key = value` lines it replays the run; the
+summary is the last CSV row plus the subcommand's extras.  Exit codes: 0
+success, 2 usage error, 3 config validation error, 4 runtime or
+infeasibility error.
 
 Defaults use reduced units (kT = 1, C = 1, tau = 1); `--unit-mode si`
 with explicit cell parameters is available for the capacitor family.
@@ -23,7 +26,6 @@ import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,41 +37,21 @@ from .ensemble import MAX_WORKERS, EnsembleWorkerError
 from .ou import CellParams
 from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
 
-__all__ = ["main", "ExperimentConfig"]
+__all__ = ["main"]
 
 
-def _check_seed(master_seed):
-    if not 0 <= master_seed < 2 ** 64:
-        raise ConfigError(f"master_seed must lie in [0, 2**64), got {master_seed}")
+def _check_run(o):
+    """Refuse an ensemble size, worker count or seed out of range (verify has a seed only).
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved run configuration, echoed into the manifest."""
-
-    subcommand: str
-    unit_mode: str = "reduced"
-    n_trajectories: int = 10000
-    master_seed: int = 12345
-    worker_count: int = 1
-    output_dir: str = "."
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.unit_mode not in ("reduced", "si"):
-            raise ConfigError(f"unit_mode must be 'reduced' or 'si', got {self.unit_mode!r}")
-        if self.n_trajectories < 1:
-            raise ConfigError("n_trajectories must be >= 1")
-        if not 1 <= self.worker_count <= MAX_WORKERS:
-            raise ConfigError(f"worker_count must lie in [1, {MAX_WORKERS}], "
-                              f"got {self.worker_count}")
-        _check_seed(self.master_seed)
-        # Every subcommand option is checked by the library call it feeds,
-        # before any block runs; a ValueError there exits 3 as well.
-
-    def as_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "options"}
-        return {**out, **self.options}
+    Every other option is checked by the library call it feeds, before
+    any block runs; a ValueError there exits 3 as well.
+    """
+    if o.get("n", 1) < 1:
+        raise ConfigError("n must be >= 1")
+    if not 1 <= o.get("workers", 1) <= MAX_WORKERS:
+        raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {o['workers']}")
+    if not 0 <= o["master_seed"] < 2 ** 64:
+        raise ConfigError(f"master_seed must lie in [0, 2**64), got {o['master_seed']}")
 
 
 def _parse_bool(text):
@@ -86,8 +68,7 @@ def _parse_floats(text):
 
 
 # Default mi-curve grid: 0 plus 19 log-spaced points from 0.1*tau to 20*tau.
-def _default_durations():
-    return [0.0] + list(np.logspace(math.log10(0.1), math.log10(20.0), 19))
+_DURATIONS_TAU = (0.0, *np.logspace(math.log10(0.1), math.log10(20.0), 19).tolist())
 
 
 _SEED_OPT = ("master-seed", int, 12345, "master RNG seed")
@@ -147,19 +128,18 @@ def _resolve_opts(args, file_cfg, opts):
                 value = parse(file_cfg[key])
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
-        if value is None:
-            value = default() if callable(default) and typ is list else default
-        resolved[key] = value
+        resolved[key] = default if value is None else value
     return resolved
 
 
-def _cell_from(resolved):
-    if resolved["unit_mode"] != "si":
+def _cell_from(o):
+    if o["unit_mode"] not in ("reduced", "si"):
+        raise ConfigError(f"unit_mode must be 'reduced' or 'si', got {o['unit_mode']!r}")
+    if o["unit_mode"] == "reduced":
         return CellParams.reduced()
     try:
-        return CellParams(temperature=resolved["temperature_K"],
-                          resistance=resolved["resistance_ohm"],
-                          capacitance=resolved["capacitance_F"])
+        return CellParams(temperature=o["temperature_K"], resistance=o["resistance_ohm"],
+                          capacitance=o["capacitance_F"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -169,59 +149,51 @@ def _se(values):
     return float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
 
 
-# --- subcommand runners: return (base_name, columns, rows, summary) ---
+# --- subcommand runners: o is the resolved option dict; each returns
+# (base_name, rows, extras), every row a dict of CSV column -> value in
+# column order, and extras the summary's keys that are not columns ---
 
-def _run_capacitor_write(cfg, cell):
-    o = cfg.options
+def _run_capacitor_write(o, cell):
     u0 = o["u0_sigma"] * cell.sigma_st
     dt = o["dt_tau"] * cell.tau
-    q, steps, control = cap_mod.write_ensemble(o["bit"], u0, cell, dt, cfg.n_trajectories,
-                                               cfg.master_seed, worker_count=cfg.worker_count)
+    q, steps, control = cap_mod.write_ensemble(o["bit"], u0, cell, dt, o["n"], o["master_seed"],
+                                               worker_count=o["workers"])
     q, control = q / cell.kT, control / cell.kT
-    theory = 0.5 * (1.0 - o["u0_sigma"] ** 2)
-    columns = ["bit", "u0_sigma", "n", "mean_Q_env_kT", "se_Q_env_kT",
-               "theory_Q_env_kT", "mean_duration_tau", "mean_n_samples",
-               "mean_control_cost_kT"]
-    row = [o["bit"], o["u0_sigma"], cfg.n_trajectories, float(q.mean()), _se(q),
-           theory, float(steps.mean() * dt / cell.tau), float(steps.mean() + 1.0),
-           float(control.mean())]
-    summary = {"mean_Q_env_kT": row[3], "se_Q_env_kT": row[4],
-               "theory_Q_env_kT": theory, "mean_control_cost_kT": row[8]}
-    return "capacitor_write", columns, [row], summary
+    row = {"bit": o["bit"], "u0_sigma": o["u0_sigma"], "n": o["n"],
+           "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": _se(q),
+           "theory_Q_env_kT": 0.5 * (1.0 - o["u0_sigma"] ** 2),
+           "mean_duration_tau": float(steps.mean() * dt / cell.tau),
+           "mean_n_samples": float(steps.mean() + 1.0),
+           "mean_control_cost_kT": float(control.mean())}
+    return "capacitor_write", [row], {}
 
 
-def _run_capacitor_erase(cfg, cell):
-    o = cfg.options
+def _run_capacitor_erase(o, cell):
     u0 = o["u0_sigma"] * cell.sigma_st
     duration = o["duration_tau"] * cell.tau
     # First, so that a negative u0 (a valid start, but not a written level)
     # is refused before anything runs.
     theory = cap_mod.erase_dissipation_theory(u0, duration, cell) / cell.kT
-    q = cap_mod.erase_ensemble(u0, duration, cell, cfg.n_trajectories, cfg.master_seed,
-                               worker_count=cfg.worker_count) / cell.kT
-    columns = ["u0_sigma", "duration_tau", "n", "mean_Q_env_kT", "se_Q_env_kT",
-               "theory_Q_env_kT"]
-    row = [o["u0_sigma"], o["duration_tau"], cfg.n_trajectories,
-           float(q.mean()), _se(q), theory]
-    summary = {"mean_Q_env_kT": row[3], "se_Q_env_kT": row[4], "theory_Q_env_kT": theory}
-    return "capacitor_erase", columns, [row], summary
+    q = cap_mod.erase_ensemble(u0, duration, cell, o["n"], o["master_seed"],
+                               worker_count=o["workers"]) / cell.kT
+    row = {"u0_sigma": o["u0_sigma"], "duration_tau": o["duration_tau"], "n": o["n"],
+           "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": _se(q), "theory_Q_env_kT": theory}
+    return "capacitor_erase", [row], {}
 
 
-def _run_capacitor_mi_curve(cfg, cell):
-    o = cfg.options
+def _run_capacitor_mi_curve(o, cell):
     u0 = o["u0_sigma"] * cell.sigma_st
     reports = cap_mod.run_erasure_experiment(u0, [d * cell.tau for d in o["durations_tau"]],
-                                             cell, cfg.n_trajectories, cfg.master_seed,
-                                             worker_count=cfg.worker_count)
-    columns = ["duration_tau", "p_e_hat", "ci_low", "ci_high", "info_bits",
-               "mean_Q_env_kT", "se_Q_env_kT"]
-    rows = [[rep.duration / cell.tau, rep.channel.p_e_hat, rep.channel.ci_low,
-             rep.channel.ci_high, rep.info_bits, rep.mean_Q_env / cell.kT,
-             rep.se_Q_env / cell.kT] for rep in reports]
+                                             cell, o["n"], o["master_seed"],
+                                             worker_count=o["workers"])
+    rows = [{"duration_tau": rep.duration / cell.tau, "p_e_hat": rep.channel.p_e_hat,
+             "ci_low": rep.channel.ci_low, "ci_high": rep.channel.ci_high,
+             "info_bits": rep.info_bits, "mean_Q_env_kT": rep.mean_Q_env / cell.kT,
+             "se_Q_env_kT": rep.se_Q_env / cell.kT} for rep in reports]
     theory = cap_mod.erase_dissipation_theory(u0, reports[-1].duration, cell) / cell.kT
-    summary = {"n_durations": len(rows), "final_info_bits": rows[-1][4],
-               "theory_Q_env_kT": theory}
-    return "capacitor_mi_curve", columns, rows, summary
+    return "capacitor_mi_curve", rows, {"n_durations": len(rows),
+                                        "final_info_bits": rows[-1]["info_bits"],
+                                        "theory_Q_env_kT": theory}
 
 
 def _dw_params(o):
@@ -233,68 +205,56 @@ def _dw_dt(params, o):
 
 
 def _series_rows(series):
-    return [[t, p1, se1, mu, seu] for t, p1, se1, mu, seu in
-            zip(series.times, series.p1, series.se_p1, series.mean_U, series.se_U)]
+    return [{"t": t, "p1": p1, "se_p1": se1, "mean_U": mu, "se_U": seu} for t, p1, se1, mu, seu
+            in zip(series.times, series.p1, series.se_p1, series.mean_U, series.se_U)]
 
 
-_DW_COLUMNS = ["t", "p1", "se_p1", "mean_U", "se_U"]
-
-
-def _run_doublewell_relax(cfg, _cell=None):
-    o = cfg.options
+def _run_doublewell_relax(o, _cell=None):
     params = _dw_params(o)
     series = dw_mod.relax_ensemble(params, o["side"], o["t_total"], _dw_dt(params, o),
-                                   cfg.n_trajectories, cfg.master_seed,
-                                   worker_count=cfg.worker_count)
-    summary = {"terminal_p1": float(series.p1[-1]),
-               "mean_U_drift": float(series.mean_U[-1] - series.mean_U[0])}
-    return "doublewell_relax", _DW_COLUMNS, _series_rows(series), summary
+                                   o["n"], o["master_seed"], worker_count=o["workers"])
+    return "doublewell_relax", _series_rows(series), {
+        "terminal_p1": float(series.p1[-1]),
+        "mean_U_drift": float(series.mean_U[-1] - series.mean_U[0])}
 
 
-def _run_doublewell_heated(cfg, _cell=None):
-    o = cfg.options
+def _run_doublewell_heated(o, _cell=None):
     params = _dw_params(o)
     series, mean_du, se_du = dw_mod.heated_erase(
         params, o["t_hot"], o["t_total"], _dw_dt(params, o),
-        cfg.n_trajectories, cfg.master_seed, side=o["side"], worker_count=cfg.worker_count)
-    summary = {"terminal_p1": float(series.p1[-1]),
-               "mean_absorbed_kT": mean_du, "se_absorbed_kT": se_du}
-    return "doublewell_heated", _DW_COLUMNS, _series_rows(series), summary
+        o["n"], o["master_seed"], side=o["side"], worker_count=o["workers"])
+    return "doublewell_heated", _series_rows(series), {
+        "terminal_p1": float(series.p1[-1]), "mean_absorbed_kT": mean_du,
+        "se_absorbed_kT": se_du}
 
 
-def _run_doublewell_escape(cfg, _cell=None):
-    o = cfg.options
+def _run_doublewell_escape(o, _cell=None):
     params = _dw_params(o)
-    mean_t, se_t = dw_mod.measure_escape_time(params, cfg.n_trajectories,
-                                              _dw_dt(params, o), cfg.master_seed,
-                                              max_time=o["max_time"],
-                                              worker_count=cfg.worker_count)
-    columns = ["barrier_kT", "n", "mean_escape_time", "se_escape_time"]
-    row = [o["barrier_kt"], cfg.n_trajectories, mean_t, se_t]
-    return "doublewell_escape", columns, [row], {"mean_escape_time": mean_t,
-                                                 "se_escape_time": se_t}
+    mean_t, se_t = dw_mod.measure_escape_time(params, o["n"], _dw_dt(params, o),
+                                              o["master_seed"], max_time=o["max_time"],
+                                              worker_count=o["workers"])
+    row = {"barrier_kT": o["barrier_kt"], "n": o["n"], "mean_escape_time": mean_t,
+           "se_escape_time": se_t}
+    return "doublewell_escape", [row], {}
 
 
-def _run_bounds_brillouin(cfg, _cell=None):
-    o = cfg.options
+def _run_bounds_brillouin(o, _cell=None):
     e_d = bounds_mod.brillouin_min_dissipation(o["p_e"], o["temperature_K"])
     kT = bounds_mod.BOLTZMANN * o["temperature_K"]
-    columns = ["p_e", "temperature_K", "E_d_joule", "E_d_kT"]
-    row = [o["p_e"], o["temperature_K"], e_d, e_d / kT]
-    return "bounds_brillouin", columns, [row], {"E_d_joule": e_d, "E_d_kT": e_d / kT}
+    row = {"p_e": o["p_e"], "temperature_K": o["temperature_K"], "E_d_joule": e_d,
+           "E_d_kT": e_d / kT}
+    return "bounds_brillouin", [row], {}
 
 
-def _run_bounds_anderson(cfg, _cell=None):
-    o = cfg.options
+def _run_bounds_anderson(o, _cell=None):
     b = bounds_mod.anderson_bound(o["delta_s_bits"], o["temperature_K"])
     kT = bounds_mod.BOLTZMANN * o["temperature_K"]
-    columns = ["delta_S_bits", "temperature_K", "bound_joule", "bound_kT"]
-    row = [o["delta_s_bits"], o["temperature_K"], b, b / kT]
-    return "bounds_anderson", columns, [row], {"bound_joule": b, "bound_kT": b / kT}
+    row = {"delta_S_bits": o["delta_s_bits"], "temperature_K": o["temperature_K"],
+           "bound_joule": b, "bound_kT": b / kT}
+    return "bounds_anderson", [row], {}
 
 
-def _run_bounds_icecube(cfg, _cell=None):
-    o = cfg.options
+def _run_bounds_icecube(o, _cell=None):
     model = bounds_mod.IceCubeModel(
         volume_cm3=o["volume_cm3"],
         ambient_temperature=o["ambient_K"],
@@ -303,8 +263,8 @@ def _run_bounds_icecube(cfg, _cell=None):
         include_sensible_heat=bool(o["sensible"]),
     )
     comp = bounds_mod.ice_cube_erasure_energy(model)
-    columns = ["Q_joule", "Q_kT", "bound_kT", "violation_factor"]
-    row = [comp.cooling_joule, comp.cooling_kT, comp.anderson_kT, comp.violation_factor]
+    row = {"Q_joule": comp.cooling_joule, "Q_kT": comp.cooling_kT,
+           "bound_kT": comp.anderson_kT, "violation_factor": comp.violation_factor}
     block = (
         f"Ice-cube erasure, V = {model.volume_cm3} cm^3 at {model.ambient_temperature} K\n"
         f"  cooling drawn from environment : {comp.cooling_joule:.4g} J"
@@ -313,20 +273,14 @@ def _run_bounds_icecube(cfg, _cell=None):
         f" = {comp.anderson_kT:.4g} kT (1 bit)\n"
         f"  violation factor               : {comp.violation_factor:.4g}\n"
     )
-    summary = {"Q_joule": comp.cooling_joule, "Q_kT": comp.cooling_kT,
-               "bound_kT": comp.anderson_kT, "violation_factor": comp.violation_factor,
-               "comparison": block}
-    return "bounds_icecube", columns, [row], summary
+    return "bounds_icecube", [row], {"comparison": block}
 
 
-def _run_info_eval(cfg, _cell=None):
-    o = cfg.options
-    p_e = o["p_e"]
-    info = info_mod.bit_information(p_e)
-    ent = info_mod.memory_entropy(p_e)
-    columns = ["p_e", "info_bits", "entropy_nats", "entropy_bits"]
-    row = [p_e, info, ent, info_mod.nats_to_bits(ent)]
-    return "info_eval", columns, [row], {"info_bits": info, "entropy_nats": ent}
+def _run_info_eval(o, _cell=None):
+    ent = info_mod.memory_entropy(o["p_e"])
+    row = {"p_e": o["p_e"], "info_bits": info_mod.bit_information(o["p_e"]),
+           "entropy_nats": ent, "entropy_bits": info_mod.nats_to_bits(ent)}
+    return "info_eval", [row], {}
 
 
 _SUBCOMMANDS = {
@@ -346,7 +300,7 @@ _SUBCOMMANDS = {
         "runner": _run_capacitor_mi_curve,
         "cell": True,
         "opts": _CELL_OPTS + [("u0-sigma", float, 1.0, "latched level in units of sigma_st"),
-                              ("durations-tau", list, _default_durations,
+                              ("durations-tau", list, _DURATIONS_TAU,
                                "comma-separated erase durations in units of tau")],
     },
     ("doublewell", "relax"): {
@@ -453,34 +407,24 @@ def main(argv=None):
         output_dir = (args.output_dir or file_cfg.get("output_dir")
                       or os.environ.get("THERMOBIT_OUTPUT_DIR") or ".")
 
-        if args._name[0] == "verify":
-            master_seed = _resolve_opts(args, file_cfg, [_SEED_OPT])["master_seed"]
-            _check_seed(master_seed)
-            return _run_verify(master_seed)
-
-        resolved = _resolve_opts(args, file_cfg, spec["opts"] + _COMMON_OPTS)
-        common = {k: resolved.pop(k) for k in ("n", "master_seed", "workers")}
-        cfg = ExperimentConfig(
-            subcommand="_".join(args._name),
-            unit_mode=resolved.get("unit_mode", "reduced"),
-            n_trajectories=common["n"],
-            master_seed=common["master_seed"],
-            worker_count=common["workers"],
-            output_dir=output_dir,
-            options=resolved,
-        )
-        cell = _cell_from(resolved) if spec.get("cell") else None
+        verify = args._name[0] == "verify"
+        o = _resolve_opts(args, file_cfg, [_SEED_OPT] if verify else spec["opts"] + _COMMON_OPTS)
+        _check_run(o)
+        if verify:
+            return _run_verify(o["master_seed"])
+        cell = _cell_from(o) if spec.get("cell") else None
     except ConfigError as exc:
         print(f"thermobit: config error: {exc}", file=sys.stderr)
         return 3
 
     try:
-        base, columns, rows, summary = spec["runner"](cfg, cell)
+        base, rows, extras = spec["runner"](o, cell)
         os.makedirs(output_dir, exist_ok=True)
         csv_path = os.path.join(output_dir, base + ".csv")
-        write_csv(csv_path, columns, rows)
+        write_csv(csv_path, list(rows[0]), [list(row.values()) for row in rows])
+        config = {"subcommand": "_".join(args._name), "output_dir": output_dir, **o}
         manifest_path = os.path.join(output_dir, base + ".manifest.json")
-        write_manifest(manifest_path, cfg.as_dict(), [csv_path])
+        write_manifest(manifest_path, config, [csv_path])
     except (cap_mod.WriteTimeoutError, dw_mod.EscapeInfeasibleError,
             bounds_mod.NoErasureError, EnsembleWorkerError, BrokenProcessPool,
             OSError) as exc:
@@ -490,9 +434,10 @@ def main(argv=None):
         print(f"thermobit: config error: {exc}", file=sys.stderr)
         return 3
 
-    print(json.dumps({"command": " ".join(args._name), "config": cfg.as_dict(),
+    print(json.dumps({"command": " ".join(args._name), "config": config,
                       "outputs": {"csv": csv_path, "manifest": manifest_path},
-                      "summary": summary}, indent=2, sort_keys=True, default=str))
+                      "summary": {**rows[-1], **extras}}, indent=2, sort_keys=True,
+                     default=str))
     return 0
 
 

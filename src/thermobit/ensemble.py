@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .streams import make_stream
+from .streams import _check_word, make_stream
 
 __all__ = ["EnsembleWorkerError", "MAX_WORKERS", "run_parallel_ensemble", "run_blocks"]
 
@@ -139,8 +139,10 @@ def run_blocks(task, n, block, master_seed, *, worker_count=1, stream_offset=0):
     holds the rest.  Every task returns a tuple of arrays; the result is
     the tuple of their concatenations along the last (row) axis.  At worker_count > 1 the
     blocks run in shares (see `_shares`), each joined in its worker.
+    A seed with no stream is refused here, before any stream or pool.
     """
     _check_counts(n, worker_count)
+    _check_word("master_seed", int(master_seed))
     run = partial(_run_block_share, task, n, block, master_seed, stream_offset)
     parts = _dispatch(run, _shares(n, block, worker_count), worker_count)
     return parts[0] if len(parts) == 1 else _join(parts)

@@ -12,6 +12,8 @@ import hashlib
 import json
 import time
 
+from . import __version__
+
 __all__ = [
     "ConfigError",
     "parse_config_file",
@@ -20,9 +22,6 @@ __all__ = [
     "sha256_file",
     "write_manifest",
 ]
-
-TOOL_VERSION = "0.1.0"
-
 
 class ConfigError(ValueError):
     """Invalid configuration value or config-file syntax."""
@@ -71,7 +70,7 @@ def sha256_file(path):
 def write_manifest(path, config, output_paths):
     """Write the resolved configuration plus a sha256 of every output file."""
     payload = {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": dict(config),
         "checksums": {str(out): sha256_file(out) for out in output_paths},

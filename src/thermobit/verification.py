@@ -18,9 +18,9 @@ import numpy as np
 from . import cli
 from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy)
-from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_rows, _write_rows,
-                        erase_dissipation_theory, erase_ensemble, partial_erase_error_prob,
-                        run_erasure_experiment, write_ensemble)
+from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_block, _erased,
+                        _write_rows, erase_dissipation_theory, erase_ensemble,
+                        partial_erase_error_prob, run_erasure_experiment, write_ensemble)
 from .doublewell import BLOCK, DoubleWellParams, measure_escape_time, relax_ensemble
 from .ensemble import run_blocks
 from .infotheory import bit_information, memory_entropy
@@ -255,7 +255,7 @@ def _ledger_block(stream, rows):
     cell = CellParams.reduced()
     u0, duration = 0.1 + 1.1 * stream.uniform(), 3.0 * stream.uniform()
     v_start, target, _, _ = _write_rows(stream.integers(0, 2, size=rows), u0, cell, 0.01, stream)
-    v_final = _erase_rows(target, duration, cell, stream)
+    v_final = _erased(target, duration, cell, *_erase_block(stream, rows, duration))
     c = cell.capacitance
     e_start, e_target, e_final = (0.5 * c * v * v for v in (v_start, target, v_final))
     write = _bath_heat(c, v_start, target) + (e_target - e_start)

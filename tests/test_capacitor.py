@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from thermobit import ensemble
-from thermobit.capacitor import (WriteTimeoutError, _bath_heat, _erase_rows, _erasure_block,
-                                 _first_passage, _write_rows, erase, erase_dissipation_theory,
-                                 erase_ensemble, partial_erase_error_prob,
-                                 run_erasure_experiment, write_bit, write_ensemble)
+from thermobit.capacitor import (WriteTimeoutError, _bath_heat, _erase_block, _erased,
+                                 _erasure_block, _first_passage, _write_rows, erase,
+                                 erase_dissipation_theory, erase_ensemble,
+                                 partial_erase_error_prob, run_erasure_experiment, write_bit,
+                                 write_ensemble)
 from thermobit.infotheory import bit_information, estimate_error_prob
 from thermobit.ou import CellParams, _transition
 from thermobit.streams import make_stream
@@ -366,7 +367,8 @@ class TestBlockKernels:
 
     def test_one_draw_erase_moments_at_one_tau(self):
         n = 100_000
-        v_final = _erase_rows(np.ones(n), CELL.tau, CELL, make_stream(31, 0))
+        z = _erase_block(make_stream(31, 0), n, CELL.tau)
+        v_final = _erased(np.ones(n), CELL.tau, CELL, *z)
         mean, var = math.exp(-1.0), 1.0 - math.exp(-2.0)
         assert abs(v_final.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(v_final.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))

@@ -3,11 +3,14 @@ import math
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import thermobit
 from thermobit import capacitor, cli, doublewell, ensemble, verification
 from thermobit.capacitor import BLOCK
+from thermobit.reporting import format_value
 
 
 @pytest.fixture
@@ -266,6 +269,65 @@ class TestOutputs:
         assert float(values["E_d_joule"]) == payload["summary"]["E_d_joule"]
 
 
+class TestManifest:
+    """The manifest's config is the resolved options, under their own names."""
+
+    @pytest.mark.parametrize("argv", [
+        ["capacitor", "write", "--n", "40", "--bit", "0", "--workers", "2"],
+        ["capacitor", "erase", "--n", "40", "--unit-mode", "si", "--duration-tau", "0.5"],
+        ["capacitor", "mi-curve", "--n", "40", "--durations-tau", "0,0.3,2"],
+        ["doublewell", "relax", "--n", "100", "--t-total", "0.5", "--side", "0"],
+        ["doublewell", "heated", "--n", "100", "--t-total", "0.5"],
+        ["doublewell", "escape", "--n", "20", "--dt", "0.002"],
+        ["bounds", "brillouin", "--p-e", "0.2"],
+        ["bounds", "anderson", "--delta-s-bits", "2"],
+        ["bounds", "icecube", "--sensible"],
+        ["info", "eval", "--p-e", "0.25"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_manifest_config_replays_the_run(self, tmp_path, run_cli, argv):
+        code, out, _ = run_cli(argv + ["--master-seed", "77", "--output-dir",
+                                       str(tmp_path / "first")])
+        assert code == 0
+        paths = json.loads(out)["outputs"]
+        config = json.loads(Path(paths["manifest"]).read_text())["config"]
+        assert config["subcommand"] == "_".join(argv[:2])
+        lines = [f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+                 for key, v in config.items()
+                 if key not in ("subcommand", "output_dir") and v is not None]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(lines))
+        code, out, err = run_cli(argv[:2] + ["--config", str(cfg), "--output-dir",
+                                             str(tmp_path / "again")])
+        assert code == 0, err
+        again = json.loads(out)
+        assert again["config"] == {**config, "output_dir": str(tmp_path / "again")}
+        assert Path(again["outputs"]["csv"]).read_bytes() == Path(paths["csv"]).read_bytes()
+
+    def test_version_is_the_package_version(self, tmp_path, run_cli):
+        assert run_cli(["info", "eval", "--output-dir", str(tmp_path)])[0] == 0
+        manifest = json.loads((tmp_path / "info_eval.manifest.json").read_text())
+        assert manifest["tool_version"] == thermobit.__version__
+
+
+class TestSummary:
+    @pytest.mark.parametrize("argv, extras", [
+        (["capacitor", "write", "--n", "30"], set()),
+        (["capacitor", "mi-curve", "--n", "30", "--durations-tau", "0,0.5,3"],
+         {"n_durations", "final_info_bits", "theory_Q_env_kT"}),
+        (["doublewell", "heated", "--n", "100", "--t-total", "0.5"],
+         {"terminal_p1", "mean_absorbed_kT", "se_absorbed_kT"}),
+    ], ids=["write", "mi-curve", "heated"])
+    def test_summary_holds_the_last_csv_row(self, tmp_path, run_cli, argv, extras):
+        code, out, _ = run_cli(argv + ["--output-dir", str(tmp_path)])
+        assert code == 0
+        payload = json.loads(out)
+        header, *rows = Path(payload["outputs"]["csv"]).read_text().splitlines()
+        columns = header.split(",")
+        summary = payload["summary"]
+        assert [format_value(summary[c]) for c in columns] == rows[-1].split(",")
+        assert set(summary) == set(columns) | extras
+
+
 class TestConfigPrecedence:
     def test_flag_overrides_config_file(self, tmp_path, run_cli):
         cfg = tmp_path / "run.cfg"
@@ -366,7 +428,7 @@ class TestBlocks:
             code, stdout, _ = run_cli(["capacitor", "write", "--n", str(BLOCK + 1),
                                        "--workers", workers, "--output-dir", str(out)])
             assert code == 0
-            assert json.loads(stdout)["config"]["n_trajectories"] == BLOCK + 1
+            assert json.loads(stdout)["config"]["n"] == BLOCK + 1
             blobs.append((out / "capacitor_write.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -412,7 +474,7 @@ class TestParserCache:
         assert exc_info.value.code == 2
         code, out, _ = run_cli(argv + ["--output-dir", str(tmp_path / "after")])
         assert code == 0
-        assert json.loads(out)["config"]["n_trajectories"] == 20
+        assert json.loads(out)["config"]["n"] == 20
         assert self.written_bits(tmp_path / "after") == ["1"]
         assert ((tmp_path / "after" / "capacitor_write.csv").read_bytes()
                 == (tmp_path / "fresh" / "capacitor_write.csv").read_bytes())

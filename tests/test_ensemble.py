@@ -41,6 +41,10 @@ def refuse_pool(*args, **kwargs):
     raise AssertionError("a process pool was constructed")
 
 
+def refuse_stream(*args, **kwargs):
+    raise AssertionError("a stream was built")
+
+
 def fail_in(stream, rows, at):
     """Raise at every block whose stream index is in `at`."""
     if stream.stream_index in at:
@@ -258,6 +262,18 @@ class TestShares:
                        stream_offset=offset)
         assert exc_info.value.stream_index == 2**64
         assert "stream_index must fit" in exc_info.value.cause_text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_refused_before_any_stream_or_pool(self, monkeypatch,
+                                                                    workers, seed):
+        # Every block shares the seed, so a bad one is no block's error: it
+        # is refused once, up front, as a plain ValueError.
+        monkeypatch.setattr(ensemble, "_live", None)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", refuse_pool)
+        monkeypatch.setattr(ensemble, "make_stream", refuse_stream)
+        with pytest.raises(ValueError, match="master_seed must fit"):
+            run_blocks(partial(fail_in, at=()), 300, 256, seed, worker_count=workers)
 
     def test_one_share_still_runs_in_a_worker(self):
         (pids,) = run_blocks(pid_block, 10, 256, 70, worker_count=2)
