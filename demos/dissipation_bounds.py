@@ -19,8 +19,7 @@ Run: python demos/dissipation_bounds.py
 import math
 
 from thermobit import (BOLTZMANN, IceCubeModel, NoErasureError, anderson_bound,
-                       brillouin_min_dissipation, ice_cube_erasure_energy,
-                       memory_entropy_audit)
+                       binary_entropy, brillouin_min_dissipation, ice_cube_erasure_energy)
 
 T = 300.0
 kT = BOLTZMANN * T
@@ -62,7 +61,7 @@ print("=== 4. Entropy audit of a write/store/erase cycle ===")
 # P(bit = 1) at each protocol step: write 1, store, thermalizing erase.
 trace = [1.0, 1.0, 0.5]
 labels = ["write 1", "store", "erase (thermalize)"]
-for label, bits in zip(labels, memory_entropy_audit(trace)):
-    print(f"  {label:<20} entropy = {bits:.3f} bit")
+for label, p1 in zip(labels, trace):
+    print(f"  {label:<20} entropy = {binary_entropy(p1):.3f} bit")
 print("Only the erase step creates entropy, exactly one bit's worth --")
 print("and the ice cube shows that paying kT ln2 for it is not mandatory.")

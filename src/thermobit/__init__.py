@@ -10,15 +10,14 @@ against.
 __version__ = "0.1.0"  # set before the submodules load: reporting reads it
 
 from .bounds import (BoundComparison, IceCubeModel, NoErasureError, anderson_bound,
-                     brillouin_min_dissipation, ice_cube_erasure_energy,
-                     memory_entropy_audit)
+                     brillouin_min_dissipation, ice_cube_erasure_energy)
 from .capacitor import (EraseRecord, ErasureReport, WriteRecord, WriteTimeoutError, erase,
                         erase_dissipation_theory, partial_erase_error_prob,
                         run_erasure_experiment, write_bit)
 from .doublewell import (DoubleWellParams, EscapeInfeasibleError, RelaxationSeries,
                          heated_erase, measure_escape_time, relax_ensemble)
 from .ensemble import EnsembleWorkerError, run_parallel_ensemble
-from .infotheory import (BitChannelStats, bit_information, estimate_error_prob,
-                         memory_entropy, nats_to_bits, wilson_interval)
+from .infotheory import (BitChannelStats, binary_entropy, bit_information,
+                         estimate_error_prob, wilson_interval)
 from .ou import BOLTZMANN, CellParams, ou_sample_stationary, ou_step
 from .streams import RngStream, make_stream

@@ -13,12 +13,8 @@ draws the latent heat from the environment, ~7e23 kT for 10 cm^3 at
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from .infotheory import memory_entropy, nats_to_bits
-from .ou import BOLTZMANN
+from .ou import BOLTZMANN, _check_positive
 
 __all__ = [
     "IceCubeModel",
@@ -27,7 +23,6 @@ __all__ = [
     "brillouin_min_dissipation",
     "anderson_bound",
     "ice_cube_erasure_energy",
-    "memory_entropy_audit",
 ]
 
 FREEZING_POINT = 273.15  # K
@@ -42,12 +37,6 @@ SPECIFIC_HEAT_WATER = 4.18  # J/(g K)
 
 class NoErasureError(ValueError):
     """Ambient at or below freezing: the cube does not melt, so nothing erases."""
-
-
-def _check_positive(**values):
-    for name, x in values.items():
-        if not (math.isfinite(x) and x > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 
 def _check_finite(**values):
@@ -136,16 +125,3 @@ def ice_cube_erasure_energy(model: IceCubeModel) -> BoundComparison:
     _check_finite(**vars(comp))
     return comp
 
-
-def memory_entropy_audit(states: Sequence[float]) -> np.ndarray:
-    """Information entropy (bits) of a memory along a protocol trace.
-
-    Each state is the probability that the bit reads 1: exactly 0.0 or
-    1.0 for the deterministic write/store/read steps (entropy 0), and
-    0.5 after a completed thermalizing erase (entropy 1 bit).  An empty
-    trace yields an empty report.
-    """
-    out = np.empty(len(states))
-    for k, p1 in enumerate(states):
-        out[k] = nats_to_bits(memory_entropy(1.0 - float(p1)))
-    return out

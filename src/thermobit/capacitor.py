@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .ensemble import run_blocks
+from .ensemble import run_blocks, standard_error
 from .infotheory import BitChannelStats, bit_information, estimate_error_prob
 from .ou import CellParams, _advance, _transition, ou_sample_stationary
 from .streams import RngStream
@@ -383,7 +383,7 @@ def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, work
         reports.append(ErasureReport(
             duration=duration,
             mean_Q_env=float(q.mean()),
-            se_Q_env=float(q.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            se_Q_env=float(standard_error(q)),
             channel=channel,
             info_bits=bit_information(channel.p_e_hat),
         ))

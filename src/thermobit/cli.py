@@ -33,7 +33,7 @@ from . import bounds as bounds_mod
 from . import capacitor as cap_mod
 from . import doublewell as dw_mod
 from . import infotheory as info_mod
-from .ensemble import MAX_WORKERS, EnsembleWorkerError
+from .ensemble import MAX_WORKERS, EnsembleWorkerError, standard_error
 from .ou import CellParams
 from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
 
@@ -144,11 +144,6 @@ def _cell_from(o):
         raise ConfigError(str(exc)) from exc
 
 
-def _se(values):
-    values = np.asarray(values, dtype=float)
-    return float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-
-
 # --- subcommand runners: o is the resolved option dict; each returns
 # (base_name, rows, extras), every row a dict of CSV column -> value in
 # column order, and extras the summary's keys that are not columns ---
@@ -160,7 +155,7 @@ def _run_capacitor_write(o, cell):
                                                worker_count=o["workers"])
     q, control = q / cell.kT, control / cell.kT
     row = {"bit": o["bit"], "u0_sigma": o["u0_sigma"], "n": o["n"],
-           "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": _se(q),
+           "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": float(standard_error(q)),
            "theory_Q_env_kT": 0.5 * (1.0 - o["u0_sigma"] ** 2),
            "mean_duration_tau": float(steps.mean() * dt / cell.tau),
            "mean_n_samples": float(steps.mean() + 1.0),
@@ -177,7 +172,8 @@ def _run_capacitor_erase(o, cell):
     q = cap_mod.erase_ensemble(u0, duration, cell, o["n"], o["master_seed"],
                                worker_count=o["workers"]) / cell.kT
     row = {"u0_sigma": o["u0_sigma"], "duration_tau": o["duration_tau"], "n": o["n"],
-           "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": _se(q), "theory_Q_env_kT": theory}
+           "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": float(standard_error(q)),
+           "theory_Q_env_kT": theory}
     return "capacitor_erase", [row], {}
 
 
@@ -277,9 +273,9 @@ def _run_bounds_icecube(o, _cell=None):
 
 
 def _run_info_eval(o, _cell=None):
-    ent = info_mod.memory_entropy(o["p_e"])
+    h = info_mod.binary_entropy(o["p_e"])
     row = {"p_e": o["p_e"], "info_bits": info_mod.bit_information(o["p_e"]),
-           "entropy_nats": ent, "entropy_bits": info_mod.nats_to_bits(ent)}
+           "entropy_nats": h * math.log(2.0), "entropy_bits": h}
     return "info_eval", [row], {}
 
 

@@ -21,8 +21,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .ensemble import run_blocks
-from .ou import BOLTZMANN
+from .ensemble import run_blocks, standard_error
+from .ou import BOLTZMANN, _check_positive
 
 __all__ = [
     "DoubleWellParams",
@@ -63,16 +63,13 @@ class DoubleWellParams:
     boltzmann: float = BOLTZMANN
 
     def __post_init__(self):
-        for name in ("barrier_height", "well_position", "damping", "temperature", "boltzmann"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _check_positive(**vars(self))
 
     @classmethod
-    def reduced(cls, barrier_kT, well_position=1.0, damping=1.0):
-        """Reduced units: kT = 1, barrier given as a multiple of kT."""
-        return cls(barrier_height=float(barrier_kT), well_position=well_position,
-                   damping=damping, temperature=1.0, boltzmann=1.0)
+    def reduced(cls, barrier_kT):
+        """Reduced units: kT = 1, x0 = 1, damping 1, barrier given as a multiple of kT."""
+        return cls(barrier_height=float(barrier_kT), well_position=1.0, damping=1.0,
+                   temperature=1.0, boltzmann=1.0)
 
     @property
     def kT(self):
@@ -102,14 +99,6 @@ class RelaxationSeries:
     se_p1: np.ndarray
     mean_U: np.ndarray
     se_U: np.ndarray
-
-    def __post_init__(self):
-        for name in ("times", "p1", "se_p1", "mean_U", "se_U"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any((self.p1 < 0) | (self.p1 > 1)):
-            raise ValueError("p1 must lie in [0, 1]")
 
 
 def _step_count(p, t, dt, name):
@@ -252,7 +241,7 @@ def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
     series = RelaxationSeries(times=np.append(0.0, record * dt), p1=p1,
                               se_p1=np.sqrt(p1 * (1.0 - p1) / n_traj),
                               mean_U=u.mean(axis=1),
-                              se_U=u.std(axis=1, ddof=1) / math.sqrt(n_traj))
+                              se_U=standard_error(u, axis=1))
     return series, u[-1] - u[0]
 
 
@@ -279,7 +268,7 @@ def heated_erase(p: DoubleWellParams, T_hot, t_total, dt, n_traj, seed, side=1, 
     if not p.temperature <= T_hot < math.inf:
         raise ValueError(f"T_hot must be finite and >= the ambient temperature, got {T_hot!r}")
     series, du = _relax(p, side, t_total, dt, n_traj, seed, T_hot, worker_count)
-    return series, float(du.mean()), float(du.std(ddof=1) / math.sqrt(len(du)))
+    return series, float(du.mean()), float(standard_error(du))
 
 
 def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, max_time=1e4, *,
@@ -310,4 +299,4 @@ def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, max_time=1e4, *,
         raise EscapeInfeasibleError(f"{stuck} of {n_traj} trajectories did not escape within "
                                     f"max_time={max_time:.3g} s")
     t = steps * dt
-    return float(t.mean()), float(t.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
+    return float(t.mean()), float(standard_error(t))

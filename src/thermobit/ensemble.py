@@ -29,6 +29,7 @@ attributes, monkeypatches) as it was when the pool was forked, not as it
 is when a later ensemble runs.  One thread at a time may run ensembles.
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
@@ -37,7 +38,8 @@ import numpy as np
 
 from .streams import _check_word, make_stream
 
-__all__ = ["EnsembleWorkerError", "MAX_WORKERS", "run_parallel_ensemble", "run_blocks"]
+__all__ = ["EnsembleWorkerError", "MAX_WORKERS", "run_parallel_ensemble", "run_blocks",
+           "standard_error"]
 
 # Far above the core count of any host this runs on; the cap stops a
 # mistyped count such as 100000 from forking that many processes.
@@ -166,3 +168,10 @@ def run_parallel_ensemble(task, n_trajectories, master_seed, *,
     (results,) = run_blocks(partial(_boxed, task), n_trajectories, 1, master_seed,
                             worker_count=worker_count, stream_offset=stream_offset)
     return results.tolist()
+
+
+def standard_error(x, axis=None):
+    """Standard error of the mean of x, or along axis: sample std / sqrt(n); 0.0 for n = 1."""
+    x = np.asarray(x)
+    count = x.size if axis is None else x.shape[axis]
+    return x.std(axis=axis, ddof=1) / math.sqrt(count) if count > 1 else 0.0

@@ -26,6 +26,12 @@ __all__ = [
 BOLTZMANN = 1.380649e-23
 
 
+def _check_positive(**values):
+    for name, x in values.items():
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Physical parameters of the RC memory cell.
@@ -41,15 +47,12 @@ class CellParams:
     boltzmann: float = BOLTZMANN  # J/K
 
     def __post_init__(self):
-        for name in ("temperature", "resistance", "capacitance", "boltzmann"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _check_positive(**vars(self))
 
     @classmethod
-    def reduced(cls, tau=1.0):
-        """Reduced-unit cell: kT = 1, C = 1, so sigma_st = 1 and tau = R."""
-        return cls(temperature=1.0, resistance=float(tau), capacitance=1.0, boltzmann=1.0)
+    def reduced(cls):
+        """Reduced-unit cell: kT = 1, C = 1, R = 1, so sigma_st = 1 and tau = 1."""
+        return cls(temperature=1.0, resistance=1.0, capacitance=1.0, boltzmann=1.0)
 
     @property
     def tau(self):

@@ -22,8 +22,8 @@ from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_block, _era
                         _write_rows, erase_dissipation_theory, erase_ensemble,
                         partial_erase_error_prob, run_erasure_experiment, write_ensemble)
 from .doublewell import BLOCK, DoubleWellParams, measure_escape_time, relax_ensemble
-from .ensemble import run_blocks
-from .infotheory import bit_information, memory_entropy
+from .ensemble import run_blocks, standard_error
+from .infotheory import binary_entropy, bit_information
 from .ou import CellParams, ou_sample_stationary, ou_step
 from .streams import make_stream
 
@@ -59,7 +59,7 @@ def check_erase_dissipation(master_seed):
     for k, u0 in enumerate((0.5, 1.0, 2.0)):
         q = erase_ensemble(u0, 20.0 * cell.tau, cell, n, master_seed, stream_offset=k * n)
         theory = erase_dissipation_theory(u0, 20.0 * cell.tau, cell)
-        se = q.std(ddof=1) / math.sqrt(n)
+        se = standard_error(q)
         dev = abs(q.mean() - theory)
         ok &= dev <= 3.0 * se
         details.append(f"u0={u0}: mean={q.mean():+.4f} theory={theory:+.4f} ({dev / se:.2f} SE)")
@@ -76,7 +76,7 @@ def check_write_positivity(master_seed):
     q, _, control = write_ensemble(1, u0, cell, 0.01 * cell.tau, n, master_seed,
                                    stream_offset=3 * n)
     theory = 0.5 * (cell.kT - cell.capacitance * u0 * u0)
-    se = q.std(ddof=1) / math.sqrt(n)
+    se = standard_error(q)
     dev = abs(q.mean() - theory)
     floor = cell.kT * math.log(2.0)
     ok = dev <= 3.0 * se and np.all(control >= floor - 1e-15) and np.all(control > 0)
@@ -190,9 +190,9 @@ def check_exact_formulas(master_seed):
         ("anderson(1 bit)", anderson_bound(1.0, T), -kT * math.log(2.0)),
         ("I(0)", bit_information(0.0), 1.0),
         ("I(0.5)", bit_information(0.5), 0.0),
-        ("S(0)", memory_entropy(0.0), 0.0),
-        ("S(1)", memory_entropy(1.0), 0.0),
-        ("S(0.5)", memory_entropy(0.5), math.log(2.0)),
+        ("H(0)", binary_entropy(0.0), 0.0),
+        ("H(1)", binary_entropy(1.0), 0.0),
+        ("H(0.5)", binary_entropy(0.5), 1.0),
     ]
     worst = 0.0
     for _name, got, want in checks:

@@ -1,11 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from thermobit.bounds import (BoundComparison, IceCubeModel, NoErasureError,
                               anderson_bound, brillouin_min_dissipation,
-                              ice_cube_erasure_energy, memory_entropy_audit)
+                              ice_cube_erasure_energy)
 from thermobit.ou import BOLTZMANN
 
 LN2 = math.log(2.0)
@@ -106,18 +105,3 @@ class TestIceCube:
         with pytest.raises(AttributeError):
             cmp_.cooling_joule = 0.0
 
-
-class TestMemoryEntropyAudit:
-    def test_write_store_erase_cycle(self):
-        trace = [1.0, 1.0, 0.5]  # write 1, store, thermalizing erase
-        np.testing.assert_allclose(memory_entropy_audit(trace), [0.0, 0.0, 1.0], atol=1e-15)
-
-    def test_deterministic_states_have_zero_entropy(self):
-        np.testing.assert_array_equal(memory_entropy_audit([0.0, 1.0]), [0.0, 0.0])
-
-    def test_symmetry_in_p1(self):
-        audit = memory_entropy_audit([0.3, 0.7])
-        assert audit[0] == pytest.approx(audit[1], abs=1e-15)
-
-    def test_empty_trace(self):
-        assert memory_entropy_audit([]).size == 0

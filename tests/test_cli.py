@@ -361,6 +361,19 @@ class TestConfigPrecedence:
         assert "p_ee" in err and "output_dir" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("argv", [["capacitor", "erase", "--n", "10"], ["verify"]])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, run_cli, argv, kind):
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not-utf8":
+            cfg.write_bytes(b"n = \xff\xfe\n")
+        code, out, err = run_cli(argv + ["--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "config error" in err and out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("argv, text, seed", [
         ([], "master_seed = 7\n", 7),
         (["--master-seed", "9"], "master_seed = 7\n", 9),

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -8,7 +9,7 @@ import pytest
 
 from thermobit import ensemble
 from thermobit.ensemble import (MAX_WORKERS, EnsembleWorkerError, run_blocks,
-                                run_parallel_ensemble)
+                                run_parallel_ensemble, standard_error)
 from thermobit.streams import make_stream
 
 
@@ -279,3 +280,17 @@ class TestShares:
         (pids,) = run_blocks(pid_block, 10, 256, 70, worker_count=2)
         assert pids.shape == (10,) and len(set(pids)) == 1
         assert pids[0] != os.getpid()
+
+
+class TestStandardError:
+    def test_matches_formula_bit_for_bit(self):
+        x = make_stream(3, 0).standard_normal(size=1001)
+        assert standard_error(x) == x.std(ddof=1) / math.sqrt(x.size)
+
+    def test_along_axis(self):
+        x = make_stream(3, 1).standard_normal(size=(5, 300))
+        np.testing.assert_array_equal(standard_error(x, axis=1),
+                                      x.std(axis=1, ddof=1) / math.sqrt(300))
+
+    def test_single_value_is_zero(self):
+        assert standard_error(np.array([2.5])) == 0.0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobit.infotheory import (BitChannelStats, bit_information, estimate_error_prob,
-                                  memory_entropy, nats_to_bits, wilson_interval)
+from thermobit.infotheory import (binary_entropy, bit_information, estimate_error_prob,
+                                  wilson_interval)
 from thermobit.streams import make_stream
 
 LN2 = math.log(2.0)
@@ -46,23 +46,29 @@ class TestBitInformation:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-class TestMemoryEntropy:
-    def test_known_values(self):
-        assert memory_entropy(0.0) == 0.0
-        assert memory_entropy(1.0) == 0.0
-        assert memory_entropy(0.5) == pytest.approx(LN2, abs=1e-15)
-
-    def test_bits_conversion(self):
-        assert nats_to_bits(memory_entropy(0.5)) == pytest.approx(1.0, abs=1e-15)
-        assert nats_to_bits(LN2) == pytest.approx(1.0, abs=1e-15)
+class TestBinaryEntropy:
+    def test_exact_values(self):
+        assert binary_entropy(0.0) == 0.0
+        assert binary_entropy(1.0) == 0.0
+        assert binary_entropy(0.5) == 1.0
+        # +0.0, not -0.0: the CSV of `info eval --p-e 0` reads 0.0.
+        assert math.copysign(1.0, binary_entropy(0.0)) == 1.0
 
     def test_symmetry(self):
-        for p in (0.1, 0.25, 0.4):
-            assert memory_entropy(p) == pytest.approx(memory_entropy(1.0 - p), abs=1e-15)
+        for p in (0.1, 0.25, 0.4, 2.0 ** -40):
+            assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), rel=1e-15)
 
-    def test_rejects_out_of_range(self):
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_out_of_range(self, p):
         with pytest.raises(ValueError):
-            memory_entropy(1.5)
+            binary_entropy(p)
+
+    def test_within_4_ulp_of_log1p_reference(self):
+        # 1 - bit_information(p) fails this: at p = 1e-9 it keeps about 8 digits.
+        for p in np.logspace(-300, -1, 300):
+            p = float(p)
+            ref = -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / LN2)
+            assert abs(binary_entropy(p) - ref) <= 4.0 * math.ulp(ref), p
 
 
 class TestWilsonInterval:
@@ -128,10 +134,3 @@ class TestEstimateErrorProb:
         with pytest.raises(ValueError):
             estimate_error_prob([], [])
 
-
-class TestBitChannelStats:
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
-            BitChannelStats(trials=10, errors=11, p_e_hat=1.0, ci_low=0.9, ci_high=1.0)
-        with pytest.raises(ValueError):
-            BitChannelStats(trials=10, errors=1, p_e_hat=0.1, ci_low=0.2, ci_high=0.3)
