@@ -11,6 +11,7 @@ Run: python demos/doublewell_thermalization.py
 """
 
 from thermobit import DoubleWellParams, heated_erase, measure_escape_time, relax_ensemble
+from thermobit.oracles import escape_mfpt
 
 print("=== 1. Passive erasure: the bit forgets itself ===")
 p = DoubleWellParams.reduced(2.0)  # 2 kT barrier
@@ -25,11 +26,13 @@ print(f"\nP(1) relaxes to 1/2 while <U> stays flat (drift {drift:+.3f} kT):")
 print("one bit of information is destroyed with zero mean dissipation.\n")
 
 print("=== 2. The price of stability: exponential retention time ===")
-print(f"{'E/kT':>5} {'mean escape time':>17} {'Kramers estimate':>17}")
+print(f"{'E/kT':>5} {'mean escape time':>17} {'exact MFPT':>11}")
 for barrier in (1.0, 2.0, 3.0):
     pb = DoubleWellParams.reduced(barrier)
     t_mean, t_se = measure_escape_time(pb, 1000, 0.5 * pb.max_stable_dt, seed=201)
-    print(f"{barrier:5.1f} {t_mean:12.2f} +- {t_se:4.2f} {pb.kramers_time_estimate():17.2f}")
+    print(f"{barrier:5.1f} {t_mean:12.2f} +- {t_se:4.2f} {escape_mfpt(barrier):11.2f}")
+print("Euler-Maruyama sees a crossing only at sample times, so the simulated")
+print("means run 10-15% above the exact mean first-passage time.")
 print("Retention grows like exp(E/kT); a reliable memory needs a barrier of")
 print("tens of kT, which makes passive erasure impossibly slow...\n")
 

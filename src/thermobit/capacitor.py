@@ -21,25 +21,15 @@ from functools import partial
 
 import numpy as np
 
+from . import oracles
 from .ensemble import run_blocks, standard_error
 from .infotheory import BitChannelStats, bit_information, estimate_error_prob
 from .ou import CellParams, _advance, _transition, ou_sample_stationary
 from .streams import RngStream
 
-__all__ = [
-    "WriteRecord",
-    "EraseRecord",
-    "ErasureReport",
-    "WriteTimeoutError",
-    "write_bit",
-    "erase",
-    "erase_dissipation_theory",
-    "partial_erase_error_prob",
-    "run_erasure_experiment",
-    "write_ensemble",
-    "erase_ensemble",
-    "BLOCK",
-]
+__all__ = ["WriteRecord", "EraseRecord", "ErasureReport", "WriteTimeoutError", "write_bit",
+           "erase", "erase_dissipation_theory", "partial_erase_error_prob",
+           "run_erasure_experiment", "write_ensemble", "erase_ensemble", "BLOCK"]
 
 # Trajectories per ensemble task.  Each block owns one stream key, so the
 # re-key and the task overhead are paid once per BLOCK trajectories.
@@ -60,7 +50,7 @@ _HEAT_SUM_MAX = 1e300
 
 
 class WriteTimeoutError(RuntimeError):
-    """First passage to the write target did not occur within the guard time."""
+    """A write walked its step cap (see _write_cap) without reaching its target."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,7 @@ def _bath_heat(c, v_from, v_to):
     return 0.5 * c * v_from * v_from - 0.5 * c * v_to * v_to
 
 
-def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
+def _first_passage(v, target, p: CellParams, dt, rng, max_steps):
     """Steps each row's sampled walk v <- mu*v + s*z takes to reach its target.
 
     Rows that start at or beyond their target take 0 steps.  Each round
@@ -161,7 +151,7 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     recurrence sample by sample.  A step count can therefore differ from
     a sample-by-sample walk only when a sample lies within rounding of
     +-u0.  The drawn normals are left as drawn.  The walk stops with
-    WriteTimeoutError once `walked` passes the step count max_duration/dt.
+    WriteTimeoutError once `walked` passes max_steps.
     """
     mu, s = _transition(dt, p)
     decay = mu ** np.arange(_ROUND_WIDTH)
@@ -173,7 +163,6 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
     sign = np.sign(v[active] - target[active])
     level = target[active] * sign
     prev = v[active]
-    max_steps = max_duration / dt
     walked = 0
     while active.size:
         z = rng.standard_normal((active.size, _ROUND_WIDTH))
@@ -193,51 +182,41 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_duration):
         miss = ~hit
         active, sign, level, prev = active[miss], sign[miss], level[miss], path[miss, -1]
         if active.size and walked > max_steps:
-            raise WriteTimeoutError(f"no passage of {active.size} writes within {max_duration!r} s "
-                                    f"(u0/sigma = {abs(target[0]) / p.sigma_st:.3g})")
+            raise WriteTimeoutError(f"no passage of {active.size} writes within {max_steps:.3g} "
+                                    f"steps (u0/sigma = {abs(target[0]) / p.sigma_st:.3g})")
     return steps
 
 
-def _check_write_args(u0, dt):
+def _write_cap(u0, p: CellParams, dt, rows):
+    """Refuse bad arguments or `rows` writes past the draw budget; return a walk's step cap.
+
+    A walk expects the oracle's mean time over dt steps or, once samples
+    decorrelate (dt of tau and above), the 1/P(V >= u0) of independent
+    draws, whichever is more.  The cap is oracles.CAP times that: the mean
+    time is at least 0.35 tau and the tail decays like e^(-t/tau) or faster.
+    """
     if not (math.isfinite(u0) and u0 > 0.0):
         raise ValueError(f"u0 must be positive, got {u0!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt!r}")
+    x = u0 / p.sigma_st
+    steps = oracles.write_mfpt(x, dt / p.tau) * p.tau / dt
+    if steps < math.inf:  # then x < 37, and erfc(x/sqrt(2)) is not 0
+        steps = max(steps, 2.0 / math.erfc(x * math.sqrt(0.5)))
+    oracles.check_budget(rows, steps, -(-rows // BLOCK))
+    return oracles.CAP * steps
 
 
-def _write_guard(u0, p: CellParams, dt, max_duration=None):
-    """The write's time guard, checked as a step count max_duration/dt.
-
-    The default is generous: the mean first-passage time to u0 from the
-    bulk is O(tau * exp(u0^2 / (2 sigma^2))) for u0 above sigma, and the
-    guard is 1e4 times that.  The count must be finite and below 2**63,
-    as the double well's step counts are (doublewell._step_count); a walk
-    could never pass a larger one, so such a write is refused up front.
-    """
-    _check_write_args(u0, dt)
-    if max_duration is None:
-        try:
-            max_duration = 1e4 * p.tau * math.exp(0.5 * (u0 / p.sigma_st) ** 2)
-        except OverflowError:
-            max_duration = math.inf
-    if not max_duration / dt < 2.0 ** 63:
-        raise ValueError(f"write guard of {max_duration / dt:.3g} steps of dt overflows "
-                         f"a 64-bit step count")
-    return max_duration
-
-
-def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream, max_duration=None):
-    """Write bits[i] on row i; return (v_start, target, steps, control_cost) arrays."""
-    u0 = float(u0)
-    max_duration = _write_guard(u0, p, dt, max_duration)
+def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream, max_steps):
+    """Write bits[i] on row i within max_steps; return (v_start, target, steps, control_cost)."""
     target = np.where(bits == 1, u0, -u0)
     v_start = ou_sample_stationary(p, rng, size=target.size)
-    steps = _first_passage(v_start, target, p, dt, rng, max_duration)
+    steps = _first_passage(v_start, target, p, dt, rng, max_steps)
     control = (steps + 1) * (p.kT * math.log(2.0))
     return v_start, target, steps, control
 
 
-def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *, max_duration=None):
+def write_bit(bit, u0, p: CellParams, dt, rng: RngStream):
     """Write `bit` by first passage of the connected cell to +-u0.
 
     The initial state is a fresh stationary sample (the cell is assumed
@@ -249,12 +228,13 @@ def write_bit(bit, u0, p: CellParams, dt, rng: RngStream, *, max_duration=None):
     completes immediately with a single measurement decision.
 
     The control-cost lower bound charges kT*ln 2 per measurement
-    decision, reported separately from the bath heat.
+    decision, reported separately from the bath heat.  See _write_cap for its limits.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    u0 = float(u0)
     v_start, target, steps, control = (x.item() for x in _write_rows(
-        np.array([bit]), u0, p, dt, rng, max_duration))
+        np.array([bit]), u0, p, dt, rng, _write_cap(u0, p, dt, 1)))
     return WriteRecord(bit_written=bit, target_level=target, duration=steps * dt,
                        v_start=v_start, v_final=target, n_samples=steps + 1,
                        bath_heat=_bath_heat(p.capacitance, v_start, target),
@@ -301,8 +281,8 @@ def _check_heat_range(u0, p: CellParams, n):
                          f"the heat statistics of {n} erases")
 
 
-def _write_block(stream, rows, bit, u0, p, dt):
-    v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, p, dt, stream)
+def _write_block(stream, rows, bit, u0, p, dt, max_steps):
+    v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, p, dt, stream, max_steps)
     return _bath_heat(p.capacitance, v_start, target), steps, control
 
 
@@ -332,8 +312,9 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    _write_guard(float(u0), p, dt)
-    return run_blocks(partial(_write_block, bit=bit, u0=u0, p=p, dt=dt), n, BLOCK, master_seed,
+    u0 = float(u0)
+    task = partial(_write_block, bit=bit, u0=u0, p=p, dt=dt, max_steps=_write_cap(u0, p, dt, n))
+    return run_blocks(task, n, BLOCK, master_seed,
                       worker_count=worker_count, stream_offset=stream_offset)
 
 
@@ -341,10 +322,11 @@ def erase_ensemble(v0, duration, p: CellParams, n, master_seed, *,
                    worker_count=1, stream_offset=0):
     """Bath heat of n independent erases from v0 (see erase), as an array.
 
-    v0 must pass _check_heat_range; it is checked before any block runs.
+    v0 must pass _check_heat_range, and n the draw budget, before any block runs.
     """
     _check_erase_args(v0, duration)
     _check_heat_range(float(v0), p, n)
+    oracles.check_budget(n, 1)
     (z,) = run_blocks(partial(_erase_block, duration=duration), n, BLOCK, master_seed,
                       worker_count=worker_count, stream_offset=stream_offset)
     v0 = np.full(n, float(v0))
@@ -356,7 +338,8 @@ def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, work
 
     Returns one ErasureReport per duration.  The durations must be finite,
     non-negative, sorted ascending and at least one; u0 must be positive
-    and pass _check_heat_range.  Both are checked before any block runs.
+    and pass _check_heat_range; a bit and a normal per row and duration
+    must fit the draw budget.  All are checked before any block runs.
     Each duration owns a disjoint range of block stream indices, so results
     are reproducible and independent of the worker count.
     """
@@ -371,6 +354,7 @@ def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, work
         raise ValueError("durations must be finite and non-negative")
     if durations != sorted(durations):
         raise ValueError("duration grid must be sorted ascending")
+    oracles.check_budget(n, 2 * len(durations))
     reports = []
     for d_idx, duration in enumerate(durations):
         bits, z = run_blocks(partial(_erasure_block, duration=duration), n, BLOCK, master_seed,

@@ -88,10 +88,9 @@ _CELL_OPTS = [
 ]
 
 # The write's voltmeter sampling step; erase and mi-curve walk no write and
-# have none.  Any step leaves the write's heat exact, since the write snaps
-# to u0.  0.01 tau does not make its duration unbiased: the level is checked
-# only every dt, so at u0 = sigma the mean duration reads about 14% above the
-# continuous mean first-passage time.
+# have none.  Any step leaves the write's heat exact, since the write snaps to
+# u0, but not its duration: at u0 = sigma and 0.01 tau it reads about 14% above
+# the continuous mean first-passage time (oracles.write_mfpt shifts the level).
 _DT_OPT = ("dt-tau", float, 0.01, "write sampling step as a fraction of tau")
 
 
@@ -227,8 +226,7 @@ def _run_doublewell_heated(o, _cell=None):
 def _run_doublewell_escape(o, _cell=None):
     params = _dw_params(o)
     mean_t, se_t = dw_mod.measure_escape_time(params, o["n"], _dw_dt(params, o),
-                                              o["master_seed"], max_time=o["max_time"],
-                                              worker_count=o["workers"])
+                                              o["master_seed"], worker_count=o["workers"])
     row = {"barrier_kT": o["barrier_kt"], "n": o["n"], "mean_escape_time": mean_t,
            "se_escape_time": se_t}
     return "doublewell_escape", [row], {}
@@ -317,8 +315,7 @@ _SUBCOMMANDS = {
     ("doublewell", "escape"): {
         "runner": _run_doublewell_escape,
         "opts": [("barrier-kt", float, 2.0, "barrier height in kT"),
-                 ("dt", float, None, "time step (default: half the stability bound)"),
-                 ("max-time", float, 1e4, "per-trajectory simulated-time budget")],
+                 ("dt", float, None, "time step (default: half the stability bound)")],
     },
     ("bounds", "brillouin"): {
         "runner": _run_bounds_brillouin,

@@ -21,18 +21,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import oracles
 from .ensemble import run_blocks, standard_error
 from .ou import BOLTZMANN, _check_positive
 
-__all__ = [
-    "DoubleWellParams",
-    "RelaxationSeries",
-    "EscapeInfeasibleError",
-    "relax_ensemble",
-    "heated_erase",
-    "measure_escape_time",
-    "BLOCK",
-]
+__all__ = ["DoubleWellParams", "RelaxationSeries", "EscapeInfeasibleError", "relax_ensemble",
+           "heated_erase", "measure_escape_time", "BLOCK"]
 
 # Euler-Maruyama stability headroom: a tenth of the inverse curvature
 # scale at the minima, where U'' = 8*E/x0^2.
@@ -45,11 +39,9 @@ BLOCK = 2048
 # EM steps per noise draw; a round's noise is a (_ROUND, rows) array.
 _ROUND = 512
 
-_MAX_TRAJ_STEPS = 10 ** 10  # per relax or heated run; the reason is in _relax
-
 
 class EscapeInfeasibleError(RuntimeError):
-    """Barrier too high for the configured simulation time budget."""
+    """A trajectory did not escape within the run's step cap (see measure_escape_time)."""
 
 
 @dataclass(frozen=True)
@@ -83,12 +75,6 @@ class DoubleWellParams:
         r = (np.asarray(x) / self.well_position) ** 2 - 1.0
         return self.barrier_height * r * r
 
-    def kramers_time_estimate(self):
-        """Crude mean escape time: 2*pi*gamma/sqrt(U''_min*|U''_max|) * exp(E/kT)."""
-        x0sq = self.well_position ** 2
-        curv = math.sqrt((8.0 * self.barrier_height / x0sq) * (4.0 * self.barrier_height / x0sq))
-        return 2.0 * math.pi * self.damping / curv * math.exp(self.barrier_height / self.kT)
-
 
 @dataclass
 class RelaxationSeries:
@@ -101,16 +87,15 @@ class RelaxationSeries:
     se_U: np.ndarray
 
 
-def _step_count(p, t, dt, name):
-    """ceil(t/dt) Euler-Maruyama steps, refused for an unstable dt or a count past int64."""
+def _em_steps(p, n_traj, t, dt):
+    """t/dt EM steps; refused for an unstable dt, or when n_traj runs pass the draw budget."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt!r}")
     if dt > p.max_stable_dt * (1 + 1e-12):
         raise ValueError(
             f"dt={dt!r} exceeds the Euler-Maruyama stability bound {p.max_stable_dt!r}")
-    if not t / dt < 2.0 ** 63:
-        raise ValueError(f"{name}/dt = {t / dt:.3g} steps overflows a 64-bit step count")
-    return math.ceil(t / dt)
+    oracles.check_budget(n_traj, t / dt, -(-n_traj // BLOCK))
+    return t / dt
 
 
 @lru_cache(maxsize=32)
@@ -217,12 +202,7 @@ def _log_step_grid(n_steps):
 
 
 def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
-    """Series of an ensemble relaxing at `temperature`, and each trajectory's U change.
-
-    Refuses n_traj*ceil(t_total/dt) > _MAX_TRAJ_STEPS = 1e10 before any block
-    runs: 200-400 s at 20-40 ns per trajectory-step, and over 50x the largest
-    default run (heated, n = 1e4: 1.28e8); t_total = 1e12 would never end.
-    """
+    """Series of an ensemble relaxing at `temperature`, and each trajectory's U change."""
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side!r}")
     if n_traj < 100:
@@ -230,9 +210,7 @@ def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
     if not 0.0 < t_total < math.inf:
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
 
-    n_steps = _step_count(p, t_total, dt, "t_total")
-    if n_traj * n_steps > _MAX_TRAJ_STEPS:
-        raise ValueError(f"{n_traj} x {n_steps} trajectory-steps exceed {_MAX_TRAJ_STEPS:.0e}")
+    n_steps = math.ceil(_em_steps(p, n_traj, t_total, dt))
     record = _log_step_grid(n_steps)
     task = partial(_relax_block, p=p, side=side, dt=dt, temperature=temperature, record=record)
     (x,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
@@ -271,32 +249,24 @@ def heated_erase(p: DoubleWellParams, T_hot, t_total, dt, n_traj, seed, side=1, 
     return series, float(du.mean()), float(standard_error(du))
 
 
-def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, max_time=1e4, *,
-                        worker_count=1):
+def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, *, worker_count=1):
     """Mean first time a trajectory started at +x0 crosses x = 0.
 
-    Raises EscapeInfeasibleError up front when the Kramers estimate of
-    the escape time says the run cannot finish within `max_time`
-    simulated seconds per trajectory (the passive-erasure timescale is
-    exponential in E/kT, so high barriers are out of desk-scale reach),
-    and after the run when some trajectory did not escape within it.
+    A trajectory's expected steps are the exact mean first-passage time
+    (oracles.escape_mfpt, times gamma*x0^2/kT) over dt.  The retention
+    time grows like exp(E/kT), so a high barrier's run is refused past
+    the draw budget before any block; a trajectory that has not escaped
+    after oracles.CAP times its expected steps raises EscapeInfeasibleError.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if not 0.0 < max_time < math.inf:
-        raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
-    max_steps = _step_count(p, max_time, dt, "max_time")
-    estimate = p.kramers_time_estimate()
-    if 20.0 * estimate > max_time:
-        raise EscapeInfeasibleError(
-            f"Kramers estimate {estimate:.3g} s needs > max_time={max_time:.3g} s "
-            f"(barrier is {p.barrier_height / p.kT:.2f} kT)")
-
+    mfpt = oracles.escape_mfpt(p.barrier_height / p.kT) * p.damping * p.well_position ** 2 / p.kT
+    max_steps = math.ceil(oracles.CAP * _em_steps(p, n_traj, mfpt, dt))
     task = partial(_escape_block, p=p, dt=dt, max_steps=max_steps)
     (steps,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     stuck = np.count_nonzero(steps < 0)
     if stuck:
         raise EscapeInfeasibleError(f"{stuck} of {n_traj} trajectories did not escape within "
-                                    f"max_time={max_time:.3g} s")
+                                    f"{max_steps} steps, {oracles.CAP}x the expected")
     t = steps * dt
     return float(t.mean()), float(standard_error(t))

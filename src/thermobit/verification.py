@@ -12,14 +12,15 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import cli
+from . import cli, oracles
 from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy)
 from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_block, _erased,
-                        _write_rows, erase_dissipation_theory, erase_ensemble,
+                        _write_cap, _write_rows, erase_dissipation_theory, erase_ensemble,
                         partial_erase_error_prob, run_erasure_experiment, write_ensemble)
 from .doublewell import BLOCK, DoubleWellParams, measure_escape_time, relax_ensemble
 from .ensemble import run_blocks, standard_error
@@ -112,34 +113,10 @@ def check_passive_erasure(master_seed):
                 f"max |mean_U(t) - mean_U(0)| = {drift:.4f} kT (tol 0.05)")
 
 
-def _quadrature_mfpt(barrier_kT, n=20_001):
-    """Exact mean first-passage time from +x0 to 0 in reduced units (gamma = kT = x0 = 1).
-
-    T = int_0^1 e^{U(y)} int_y^inf e^{-U(z)} dz dy with U(x) = E (x^2 - 1)^2
-    (Gardiner, Handbook of Stochastic Methods), by the trapezoid rule; the
-    inner upper limit is cut where U = 60 kT.  U is written out here rather
-    than taken from DoubleWellParams, so the oracle shares no code with the
-    simulator it checks.
-    """
-    def potential(x):
-        return barrier_kT * (x * x - 1.0) ** 2
-
-    def trapezoid_terms(f, x):
-        return np.diff(x) * (f[1:] + f[:-1]) / 2.0
-
-    top = math.sqrt(1.0 + math.sqrt(60.0 / barrier_kT))
-    y = np.linspace(0.0, 1.0, n)
-    z = np.linspace(1.0, top, n)
-    beyond = np.sum(trapezoid_terms(np.exp(-potential(z)), z))
-    inner = np.concatenate(([0.0], np.cumsum(trapezoid_terms(np.exp(-potential(y)), y))))
-    tail = inner[-1] - inner + beyond
-    return float(np.sum(trapezoid_terms(np.exp(potential(y)) * tail, y)))
-
-
 def check_kramers_scaling(master_seed):
     """Escape-time ratio T(3kT)/T(2kT) within 3 SE of the exact first-passage ratio.
 
-    The target is `_quadrature_mfpt(3) / _quadrature_mfpt(2)` = 1.8377, the
+    The target is `oracles.escape_mfpt(3) / oracles.escape_mfpt(2)` = 1.8377, the
     ratio of exact mean first-passage times from +x0 to 0.  It is not the
     pure-Arrhenius `e`: for this quartic well the Kramers prefactor scales
     like 1/E (Kramers, Physica 7, 284, 1940), which alone gives e * 2/3 =
@@ -162,7 +139,7 @@ def check_kramers_scaling(master_seed):
                                                            seed=master_seed)
     ratio = times[3.0] / times[2.0]
     se = ratio * math.hypot(ses[3.0] / times[3.0], ses[2.0] / times[2.0])
-    target = _quadrature_mfpt(3.0) / _quadrature_mfpt(2.0)
+    target = oracles.escape_mfpt(3.0) / oracles.escape_mfpt(2.0)
     z = (ratio - target) / se
     ok = abs(z) <= 3.0
     return ok, (f"T(3kT)={times[3.0]:.3f}, T(2kT)={times[2.0]:.3f}, "
@@ -250,11 +227,12 @@ def check_determinism(master_seed):
     return ok, "all subcommands byte-identical for workers 1/4/8" if ok else detail
 
 
-def _ledger_block(stream, rows):
+def _ledger_block(stream, rows, max_steps):
     """Each row's worst |Q_env + dE_cap| over a write, then an erase, of a random bit."""
     cell = CellParams.reduced()
     u0, duration = 0.1 + 1.1 * stream.uniform(), 3.0 * stream.uniform()
-    v_start, target, _, _ = _write_rows(stream.integers(0, 2, size=rows), u0, cell, 0.01, stream)
+    v_start, target, _, _ = _write_rows(stream.integers(0, 2, size=rows), u0, cell, 0.01, stream,
+                                        max_steps)
     v_final = _erased(target, duration, cell, *_erase_block(stream, rows, duration))
     c = cell.capacitance
     e_start, e_target, e_final = (0.5 * c * v * v for v in (v_start, target, v_final))
@@ -271,10 +249,12 @@ def check_ledger_identity(master_seed):
     [0.1, 1.2) sigma and one erase duration in [0, 3) tau.  The identity
     holds by construction in IEEE arithmetic: _bath_heat(c, a, b) is
     E(a) - E(b) and the check adds E(b) - E(a), its exact negative.  So it
-    pins the paper's per-trajectory ledger claim, not the dynamics.
+    pins the paper's per-trajectory ledger claim, not the dynamics.  The
+    writes' step cap is that of the highest level, which bounds the rest.
     """
     n = 100_000
-    (worst,) = run_blocks(_ledger_block, n, CAPACITOR_BLOCK, master_seed, stream_offset=1_000_000)
+    task = partial(_ledger_block, max_steps=_write_cap(1.2, CellParams.reduced(), 0.01, n))
+    (worst,) = run_blocks(task, n, CAPACITOR_BLOCK, master_seed, stream_offset=1_000_000)
     worst = float(worst.max())
     return worst == 0.0, f"max |Q_env + dE_cap| = {worst:.3e} over {n} write/erase pairs"
 

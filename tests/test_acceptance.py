@@ -7,12 +7,12 @@ the same checks without pytest).  The last tests pin the quadrature
 oracle that criterion 6 compares against.
 """
 
+import math
 import os
 
 import pytest
 
-from thermobit import verification
-from thermobit.doublewell import DoubleWellParams
+from thermobit import oracles, verification
 
 MASTER_SEED = 12345
 
@@ -28,14 +28,16 @@ def test_criterion(name):
 @pytest.mark.parametrize("barrier, expected", [(2.0, 2.30327), (3.0, 4.23278)])
 def test_quadrature_mfpt_matches_nested_quad(barrier, expected):
     # Reference values from an independent nested scipy.integrate.quad.
-    assert verification._quadrature_mfpt(barrier) == pytest.approx(expected, rel=1e-5)
+    assert oracles.escape_mfpt(barrier) == pytest.approx(expected, rel=1e-5)
 
 
 def test_quadrature_mfpt_high_barrier_kramers_limit():
     # The first passage to the barrier top is half the well-to-well Kramers
-    # time; 2*T/T_kramers is 1.043 at E = 10 and 1.020 at E = 20.
-    p = DoubleWellParams.reduced(20.0)
-    ratio = 2.0 * verification._quadrature_mfpt(20.0) / p.kramers_time_estimate()
+    # time 2*pi*gamma/sqrt(U''_min*|U''_max|) * e^(E/kT), with U'' = 8E and
+    # -4E in reduced units; 2*T/T_kramers is 1.043 at E = 10 and 1.020 at E = 20.
+    barrier = 20.0
+    kramers = 2.0 * math.pi / math.sqrt(8.0 * barrier * 4.0 * barrier) * math.exp(barrier)
+    ratio = 2.0 * oracles.escape_mfpt(barrier) / kramers
     assert ratio == pytest.approx(1.0, abs=0.03)
 
 

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from thermobit import ensemble
 from thermobit.capacitor import (WriteTimeoutError, _bath_heat, _erase_block, _erased,
-                                 _erasure_block, _first_passage, _write_rows, erase,
+                                 _erasure_block, _first_passage, _write_cap, _write_rows, erase,
                                  erase_dissipation_theory, erase_ensemble,
                                  partial_erase_error_prob, run_erasure_experiment, write_bit,
                                  write_ensemble)
@@ -136,7 +136,15 @@ class TestWriteBit:
 
     def test_timeout_guard(self):
         with pytest.raises(WriteTimeoutError):
-            write_bit(1, 6.0, CELL, 0.01, make_stream(18, 0), max_duration=5.0)
+            _write_rows(np.ones(1, dtype=int), 6.0, CELL, 0.01, make_stream(18, 0), max_steps=500)
+
+    def test_cap_holds_for_samples_far_apart(self):
+        # At dt = 20 tau the samples are independent stationary draws, and a
+        # write takes (1 - p)/p steps on average, p = P(V >= 3 sigma): 740
+        # steps, where the dt -> 0 oracle expects 24.  The cap must allow it.
+        n, p = 2000, 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+        _, steps, _ = write_ensemble(1, 3.0, CELL, 20.0, n, 19)
+        assert abs(steps.mean() - (1.0 - p) / p) < 4.0 * steps.std(ddof=1) / math.sqrt(n)
 
 
 class TestErase:
@@ -326,7 +334,7 @@ class TestBlockKernels:
         v = 1.2 * stream.standard_normal(n)
         v[:3] = target[:3]  # rows starting on the target take no steps
         rec = RecordingStream(stream)
-        got = _first_passage(v, target, CELL, dt, rec, max_duration=math.inf)
+        got = _first_passage(v, target, CELL, dt, rec, max_steps=math.inf)
         mu, s = _transition(dt, CELL)
         assert len(rec.draws) > 1  # several rounds, with rows dropping out
         assert got.tolist() == loop_first_passage(v, target, rec.draws, mu, s)
@@ -343,8 +351,8 @@ class TestBlockKernels:
         target = np.where(stream.integers(0, 2, size=n) == 1, 1.5, -1.5)
         v = 1.2 * stream.standard_normal(n)
         rec = CopyingStream(stream)
-        # A finite guard, so that a scan that never crosses fails instead of hanging.
-        got = _first_passage(v, target, CELL, dt, rec, max_duration=1e6 * CELL.tau)
+        # A finite cap, so that a scan that never crosses fails instead of hanging.
+        got = _first_passage(v, target, CELL, dt, rec, max_steps=1e6)
         # The scan must leave the drawn normals as they were drawn.
         assert all(np.array_equal(z, c) for z, c in zip(rec.draws, rec.copies))
         assert got.tolist() == loop_first_passage(v, target, rec.copies, mu, s)
@@ -356,13 +364,14 @@ class TestBlockKernels:
         # must stay finite on both sides of the dt = 2.72 tau bound.
         p = CellParams(temperature=300.0, resistance=1e6, capacitance=capacitance)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _write_rows(np.ones(256, dtype=int), p.sigma_st, p, dt * p.tau, make_stream(36, 0))
+            _write_rows(np.ones(256, dtype=int), p.sigma_st, p, dt * p.tau, make_stream(36, 0),
+                        _write_cap(p.sigma_st, p, dt * p.tau, 256))
 
     def test_landing_on_the_target_is_a_crossing(self):
         _, s = _transition(0.01, CELL)
         # From 0, a unit draw lands exactly on the target s after one step.
         got = _first_passage(np.array([0.0]), np.array([s]), CELL, 0.01, OnesStream(),
-                             max_duration=math.inf)
+                             max_steps=math.inf)
         assert got.tolist() == [1]
 
     def test_one_draw_erase_moments_at_one_tau(self):

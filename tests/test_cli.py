@@ -2,10 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import thermobit
 from thermobit import capacitor, cli, doublewell, ensemble, verification
@@ -73,10 +76,24 @@ class TestExitCodes:
         assert "config error" in err
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_infeasible_escape_is_runtime_error(self, tmp_path, run_cli):
-        code, _, _ = run_cli(["doublewell", "escape", "--barrier-kt", "12",
-                              "--n", "10", "--output-dir", str(tmp_path)])
-        assert code == 4
+    @pytest.mark.parametrize("argv", [
+        ["capacitor", "write", "--u0-sigma", "7.5", "--n", "10"],  # 1.4e16 draws
+        ["capacitor", "erase", "--n", "20000000000"],
+        ["capacitor", "mi-curve", "--n", "600000000"],  # x 20 durations = 1.2e10
+        ["doublewell", "escape", "--barrier-kt", "16", "--n", "1"],  # 1.0e11 with its floor
+        ["doublewell", "escape", "--barrier-kt", "20", "--n", "10"],
+    ])
+    def test_run_past_the_draw_budget_is_refused_before_any_stream(
+            self, tmp_path, monkeypatch, run_cli, argv):
+        made = []
+        monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
+        start = time.monotonic()
+        code, _, err = run_cli(argv + ["--output-dir", str(tmp_path)])
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        assert "above the budget of 1e+10" in err
+        assert not list(tmp_path.glob("*.csv"))
+        assert not made
 
     @pytest.mark.parametrize("argv", [
         ["capacitor", "erase", "--master-seed", "-1"],
@@ -104,8 +121,8 @@ class TestExitCodes:
         ["capacitor", "erase", "--u0-sigma", "1e200"],  # heat and its SE overflow
         ["capacitor", "mi-curve", "--u0-sigma", "1e308", "--durations-tau", "0,1"],
         ["capacitor", "mi-curve", "--durations-tau", ""],  # no duration, no row
-        ["capacitor", "write", "--dt-tau", "1e-300"],  # guard of 1.6e304 steps
-        ["capacitor", "write", "--u0-sigma", "40"],  # guard time exp(800) overflows
+        ["capacitor", "write", "--dt-tau", "1e-300"],  # 2e300 expected steps
+        ["capacitor", "write", "--u0-sigma", "40"],  # mean time e^800 past float range
     ], ids=["erase-u0-1e200", "mi-curve-u0-1e308", "mi-curve-empty-grid", "write-dt-1e-300",
             "write-u0-40"])
     def test_capacitor_run_out_of_range_is_refused_before_any_block(
@@ -157,12 +174,10 @@ class TestExitCodes:
         ["doublewell", "heated", "--t-total", "inf"],
         ["doublewell", "heated", "--t-hot", "nan"],
         ["doublewell", "heated", "--t-hot", "0.5"],
-        ["doublewell", "escape", "--max-time", "-1"],
         ["doublewell", "escape", "--barrier-kt", "0"],
         ["doublewell", "relax", "--dt", "nan"],
         ["doublewell", "relax", "--side", "2"],
         ["doublewell", "relax", "--t-total", "1e300"],
-        ["doublewell", "escape", "--max-time", "1e308", "--dt", "1e-5"],
         ["doublewell", "heated", "--side", "3"],
         ["doublewell", "relax", "--t-total", "1e12"],
     ])
@@ -170,6 +185,13 @@ class TestExitCodes:
         assert cli.main(argv + ["--n", "100", "--output-dir", str(tmp_path)]) == 3
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_escape_has_no_max_time_option(self, capsys):
+        # The step cap follows from the exact mean first-passage time.
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["doublewell", "escape", "--max-time", "100"])
+        assert exc_info.value.code == 2
+        assert "--max-time" in capsys.readouterr().err
 
     def test_erase_has_no_dt_option(self, capsys):
         # An erase is one exact draw over its duration, so it takes no step.
@@ -192,6 +214,28 @@ class TestExitCodes:
                                "--p-e", "0.11", "--output-dir", str(tmp_path)],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+# Every float flag of every simulating subcommand; the cell's take effect in si mode.
+_FLOAT_FLAGS = [(group, sub, flag) for (group, sub), spec in cli._SUBCOMMANDS.items()
+                if group in ("capacitor", "doublewell")
+                for flag, typ, _default, _help in spec["opts"] if typ in (float, list)]
+
+
+@settings(max_examples=3 * len(_FLOAT_FLAGS), deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_FLOAT_FLAGS), value=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_float_flag_is_config_error(tmp_path, monkeypatch, capsys, case, value):
+    made = []
+    monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
+    group, sub, flag = case
+    si = ["--unit-mode", "si"] if group == "capacitor" else []
+    code = cli.main([group, sub, f"--{flag}={value}", *si, "--n", "100",
+                     "--output-dir", str(tmp_path)])
+    assert code == 3, (case, value)
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not made
 
 
 class TestNumpyOnlyRuntime:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
-from thermobit import doublewell
+from thermobit import doublewell, ensemble, oracles
 from thermobit.doublewell import (BLOCK, DoubleWellParams, EscapeInfeasibleError,
                                   heated_erase, measure_escape_time, relax_ensemble)
 from thermobit.streams import make_stream
@@ -144,14 +144,14 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exhausted_budget_raises_unwrapped(self, monkeypatch, workers):
-        # Pass the up-front Kramers guard so that the blocks themselves run
-        # out of steps; the parent must raise EscapeInfeasibleError itself.
-        monkeypatch.setattr(DoubleWellParams, "kramers_time_estimate",
-                            lambda self: 0.0)
+        # A cap of 1% of the expected steps, read in the parent and sent
+        # with the task, so the blocks run out of steps in a forked pool too;
+        # the parent must raise EscapeInfeasibleError itself.
+        monkeypatch.setattr(oracles, "CAP", 0.01)
         p = DoubleWellParams.reduced(2.0)
         with pytest.raises(EscapeInfeasibleError, match=f"of {BLOCK + 1} trajectories did not"):
             measure_escape_time(p, BLOCK + 1, 0.5 * p.max_stable_dt, seed=0,
-                                max_time=0.05, worker_count=workers)
+                                worker_count=workers)
 
 
 class TestSampleWell:
@@ -228,15 +228,34 @@ class TestEscapeTime:
             times.append(t)
         assert times[0] < times[1] < times[2]
 
-    def test_infeasible_barrier_errors_fast(self):
-        p = DoubleWellParams.reduced(12.0)
-        with pytest.raises(EscapeInfeasibleError):
+    @pytest.fixture
+    def no_stream(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
+        yield
+        assert not made
+
+    def test_infeasible_barrier_errors_fast(self, no_stream):
+        # 20 kT: 1.4e7 time units per escape, 4.4e10 steps at the default dt.
+        p = DoubleWellParams.reduced(20.0)
+        with pytest.raises(ValueError, match="above the budget"):
             measure_escape_time(p, 10, 0.5 * p.max_stable_dt, seed=0)
 
-    def test_budget_exceeded_errors(self):
-        p = DoubleWellParams.reduced(2.0)
-        with pytest.raises(EscapeInfeasibleError):
-            measure_escape_time(p, 50, 0.5 * p.max_stable_dt, seed=0, max_time=0.05)
+    def test_budget_exceeded_errors(self, no_stream, monkeypatch):
+        # 12 kT at n = 10 expects 2e9 draws (with 128 rows per block-step)
+        # and may run; at n = 10**4, 1.6e11 draws are refused.
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+
+        p = DoubleWellParams.reduced(12.0)
+        monkeypatch.setattr(doublewell, "run_blocks", start)
+        with pytest.raises(Started):
+            measure_escape_time(p, 10, 0.5 * p.max_stable_dt, seed=0)
+        with pytest.raises(ValueError, match="above the budget"):
+            measure_escape_time(p, 10 ** 4, 0.5 * p.max_stable_dt, seed=0)
 
 
 class TestHeatedErase:
