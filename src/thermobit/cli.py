@@ -15,8 +15,10 @@ summary is the last CSV row plus the subcommand's extras.  Exit codes: 0
 success, 2 usage error, 3 config validation error, 4 runtime or
 infeasibility error.
 
-Defaults use reduced units (kT = 1, C = 1, tau = 1); `--unit-mode si`
-with explicit cell parameters is available for the capacitor family.
+Each subcommand takes only the options its runner reads; `--n`,
+`--master-seed` and `--workers` belong to the simulating ones, which run
+in reduced units (kT = 1; the capacitor's C = 1 and tau = 1, so its
+inputs are in sigma_st or tau and its columns in kT or tau).
 """
 
 import argparse
@@ -26,6 +28,7 @@ import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,25 +36,11 @@ from . import bounds as bounds_mod
 from . import capacitor as cap_mod
 from . import doublewell as dw_mod
 from . import infotheory as info_mod
-from .ensemble import MAX_WORKERS, EnsembleWorkerError, standard_error
+from .ensemble import EnsembleWorkerError, standard_error
 from .ou import CellParams
 from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
 
 __all__ = ["main"]
-
-
-def _check_run(o):
-    """Refuse an ensemble size, worker count or seed out of range (verify has a seed only).
-
-    Every other option is checked by the library call it feeds, before
-    any block runs; a ValueError there exits 3 as well.
-    """
-    if o.get("n", 1) < 1:
-        raise ConfigError("n must be >= 1")
-    if not 1 <= o.get("workers", 1) <= MAX_WORKERS:
-        raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {o['workers']}")
-    if not 0 <= o["master_seed"] < 2 ** 64:
-        raise ConfigError(f"master_seed must lie in [0, 2**64), got {o['master_seed']}")
 
 
 def _parse_bool(text):
@@ -73,25 +62,26 @@ _DURATIONS_TAU = (0.0, *np.logspace(math.log10(0.1), math.log10(20.0), 19).tolis
 
 _SEED_OPT = ("master-seed", int, 12345, "master RNG seed")
 
-_COMMON_OPTS = [
+# The ensemble options; ensemble.run_blocks refuses an n, worker count or
+# seed out of range before any stream or pool starts.
+_RUN_OPTS = [
     ("n", int, 10000, "ensemble size (trajectories)"),
     _SEED_OPT,
     ("workers", int, 1, "worker process count; the blocks are split evenly by count "
                         "into one contiguous share per worker"),
 ]
 
-_CELL_OPTS = [
-    ("unit-mode", str, "reduced", "reduced (kT=1, C=1, tau=1) or si"),
-    ("temperature-K", float, 300.0, "cell temperature (si mode)"),
-    ("resistance-ohm", float, 1e6, "cell resistance (si mode)"),
-    ("capacitance-F", float, 1e-12, "cell capacitance (si mode)"),
-]
+# Every capacitor run is in reduced units, so u0 in sigma_st and times in
+# tau pass to the library unscaled, and its heats come back in kT.
+_CELL = CellParams.reduced()
 
 # The write's voltmeter sampling step; erase and mi-curve walk no write and
 # have none.  Any step leaves the write's heat exact, since the write snaps to
 # u0, but not its duration: at u0 = sigma and 0.01 tau it reads about 14% above
 # the continuous mean first-passage time (oracles.write_mfpt shifts the level).
 _DT_OPT = ("dt-tau", float, 0.01, "write sampling step as a fraction of tau")
+_DW_DT_OPT = ("dt", float, None, "time step (default: half the stability bound at the "
+                                   "temperature the walk runs at)")
 
 
 def _add_opts(sp, opts):
@@ -109,7 +99,7 @@ def _add_opts(sp, opts):
 
 def _check_keys(file_cfg, opts):
     """Refuse config-file keys that name no option of the subcommand."""
-    known = {flag.replace("-", "_") for flag, *_ in opts + _COMMON_OPTS} | {"output_dir"}
+    known = {flag.replace("-", "_") for flag, *_ in opts} | {"output_dir"}
     unknown = sorted(set(file_cfg) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -131,61 +121,42 @@ def _resolve_opts(args, file_cfg, opts):
     return resolved
 
 
-def _cell_from(o):
-    if o["unit_mode"] not in ("reduced", "si"):
-        raise ConfigError(f"unit_mode must be 'reduced' or 'si', got {o['unit_mode']!r}")
-    if o["unit_mode"] == "reduced":
-        return CellParams.reduced()
-    try:
-        return CellParams(temperature=o["temperature_K"], resistance=o["resistance_ohm"],
-                          capacitance=o["capacitance_F"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # --- subcommand runners: o is the resolved option dict; each returns
 # (base_name, rows, extras), every row a dict of CSV column -> value in
 # column order, and extras the summary's keys that are not columns ---
 
-def _run_capacitor_write(o, cell):
-    u0 = o["u0_sigma"] * cell.sigma_st
-    dt = o["dt_tau"] * cell.tau
-    q, steps, control = cap_mod.write_ensemble(o["bit"], u0, cell, dt, o["n"], o["master_seed"],
-                                               worker_count=o["workers"])
-    q, control = q / cell.kT, control / cell.kT
+def _run_capacitor_write(o):
+    q, steps, control = cap_mod.write_ensemble(o["bit"], o["u0_sigma"], _CELL, o["dt_tau"],
+                                               o["n"], o["master_seed"], worker_count=o["workers"])
     row = {"bit": o["bit"], "u0_sigma": o["u0_sigma"], "n": o["n"],
            "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": float(standard_error(q)),
            "theory_Q_env_kT": 0.5 * (1.0 - o["u0_sigma"] ** 2),
-           "mean_duration_tau": float(steps.mean() * dt / cell.tau),
+           "mean_duration_tau": float(steps.mean() * o["dt_tau"]),
            "mean_n_samples": float(steps.mean() + 1.0),
            "mean_control_cost_kT": float(control.mean())}
     return "capacitor_write", [row], {}
 
 
-def _run_capacitor_erase(o, cell):
-    u0 = o["u0_sigma"] * cell.sigma_st
-    duration = o["duration_tau"] * cell.tau
+def _run_capacitor_erase(o):
     # First, so that a negative u0 (a valid start, but not a written level)
     # is refused before anything runs.
-    theory = cap_mod.erase_dissipation_theory(u0, duration, cell) / cell.kT
-    q = cap_mod.erase_ensemble(u0, duration, cell, o["n"], o["master_seed"],
-                               worker_count=o["workers"]) / cell.kT
+    theory = cap_mod.erase_dissipation_theory(o["u0_sigma"], o["duration_tau"], _CELL)
+    q = cap_mod.erase_ensemble(o["u0_sigma"], o["duration_tau"], _CELL, o["n"],
+                               o["master_seed"], worker_count=o["workers"])
     row = {"u0_sigma": o["u0_sigma"], "duration_tau": o["duration_tau"], "n": o["n"],
            "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": float(standard_error(q)),
            "theory_Q_env_kT": theory}
     return "capacitor_erase", [row], {}
 
 
-def _run_capacitor_mi_curve(o, cell):
-    u0 = o["u0_sigma"] * cell.sigma_st
-    reports = cap_mod.run_erasure_experiment(u0, [d * cell.tau for d in o["durations_tau"]],
-                                             cell, o["n"], o["master_seed"],
-                                             worker_count=o["workers"])
-    rows = [{"duration_tau": rep.duration / cell.tau, "p_e_hat": rep.channel.p_e_hat,
+def _run_capacitor_mi_curve(o):
+    reports = cap_mod.run_erasure_experiment(o["u0_sigma"], o["durations_tau"], _CELL, o["n"],
+                                             o["master_seed"], worker_count=o["workers"])
+    rows = [{"duration_tau": rep.duration, "p_e_hat": rep.channel.p_e_hat,
              "ci_low": rep.channel.ci_low, "ci_high": rep.channel.ci_high,
-             "info_bits": rep.info_bits, "mean_Q_env_kT": rep.mean_Q_env / cell.kT,
-             "se_Q_env_kT": rep.se_Q_env / cell.kT} for rep in reports]
-    theory = cap_mod.erase_dissipation_theory(u0, reports[-1].duration, cell) / cell.kT
+             "info_bits": rep.info_bits, "mean_Q_env_kT": rep.mean_Q_env,
+             "se_Q_env_kT": rep.se_Q_env} for rep in reports]
+    theory = cap_mod.erase_dissipation_theory(o["u0_sigma"], reports[-1].duration, _CELL)
     return "capacitor_mi_curve", rows, {"n_durations": len(rows),
                                         "final_info_bits": rows[-1]["info_bits"],
                                         "theory_Q_env_kT": theory}
@@ -204,7 +175,7 @@ def _series_rows(series):
             in zip(series.times, series.p1, series.se_p1, series.mean_U, series.se_U)]
 
 
-def _run_doublewell_relax(o, _cell=None):
+def _run_doublewell_relax(o):
     params = _dw_params(o)
     series = dw_mod.relax_ensemble(params, o["side"], o["t_total"], _dw_dt(params, o),
                                    o["n"], o["master_seed"], worker_count=o["workers"])
@@ -213,17 +184,17 @@ def _run_doublewell_relax(o, _cell=None):
         "mean_U_drift": float(series.mean_U[-1] - series.mean_U[0])}
 
 
-def _run_doublewell_heated(o, _cell=None):
+def _run_doublewell_heated(o):
     params = _dw_params(o)
     series, mean_du, se_du = dw_mod.heated_erase(
-        params, o["t_hot"], o["t_total"], _dw_dt(params, o),
+        params, o["t_hot"], o["t_total"], _dw_dt(replace(params, temperature=o["t_hot"]), o),
         o["n"], o["master_seed"], side=o["side"], worker_count=o["workers"])
     return "doublewell_heated", _series_rows(series), {
         "terminal_p1": float(series.p1[-1]), "mean_absorbed_kT": mean_du,
         "se_absorbed_kT": se_du}
 
 
-def _run_doublewell_escape(o, _cell=None):
+def _run_doublewell_escape(o):
     params = _dw_params(o)
     mean_t, se_t = dw_mod.measure_escape_time(params, o["n"], _dw_dt(params, o),
                                               o["master_seed"], worker_count=o["workers"])
@@ -232,7 +203,7 @@ def _run_doublewell_escape(o, _cell=None):
     return "doublewell_escape", [row], {}
 
 
-def _run_bounds_brillouin(o, _cell=None):
+def _run_bounds_brillouin(o):
     e_d = bounds_mod.brillouin_min_dissipation(o["p_e"], o["temperature_K"])
     kT = bounds_mod.BOLTZMANN * o["temperature_K"]
     row = {"p_e": o["p_e"], "temperature_K": o["temperature_K"], "E_d_joule": e_d,
@@ -240,7 +211,7 @@ def _run_bounds_brillouin(o, _cell=None):
     return "bounds_brillouin", [row], {}
 
 
-def _run_bounds_anderson(o, _cell=None):
+def _run_bounds_anderson(o):
     b = bounds_mod.anderson_bound(o["delta_s_bits"], o["temperature_K"])
     kT = bounds_mod.BOLTZMANN * o["temperature_K"]
     row = {"delta_S_bits": o["delta_s_bits"], "temperature_K": o["temperature_K"],
@@ -248,7 +219,7 @@ def _run_bounds_anderson(o, _cell=None):
     return "bounds_anderson", [row], {}
 
 
-def _run_bounds_icecube(o, _cell=None):
+def _run_bounds_icecube(o):
     model = bounds_mod.IceCubeModel(
         volume_cm3=o["volume_cm3"],
         ambient_temperature=o["ambient_K"],
@@ -270,7 +241,7 @@ def _run_bounds_icecube(o, _cell=None):
     return "bounds_icecube", [row], {"comparison": block}
 
 
-def _run_info_eval(o, _cell=None):
+def _run_info_eval(o):
     h = info_mod.binary_entropy(o["p_e"])
     row = {"p_e": o["p_e"], "info_bits": info_mod.bit_information(o["p_e"]),
            "entropy_nats": h * math.log(2.0), "entropy_bits": h}
@@ -280,29 +251,26 @@ def _run_info_eval(o, _cell=None):
 _SUBCOMMANDS = {
     ("capacitor", "write"): {
         "runner": _run_capacitor_write,
-        "cell": True,
-        "opts": _CELL_OPTS + [_DT_OPT, ("bit", int, 1, "bit value to write"),
-                              ("u0-sigma", float, 1.0, "target level in units of sigma_st")],
+        "opts": [_DT_OPT, ("bit", int, 1, "bit value to write"),
+                 ("u0-sigma", float, 1.0, "target level in units of sigma_st")] + _RUN_OPTS,
     },
     ("capacitor", "erase"): {
         "runner": _run_capacitor_erase,
-        "cell": True,
-        "opts": _CELL_OPTS + [("u0-sigma", float, 1.0, "written level in units of sigma_st"),
-                              ("duration-tau", float, 20.0, "erase duration in units of tau")],
+        "opts": [("u0-sigma", float, 1.0, "written level in units of sigma_st"),
+                 ("duration-tau", float, 20.0, "erase duration in units of tau")] + _RUN_OPTS,
     },
     ("capacitor", "mi-curve"): {
         "runner": _run_capacitor_mi_curve,
-        "cell": True,
-        "opts": _CELL_OPTS + [("u0-sigma", float, 1.0, "latched level in units of sigma_st"),
-                              ("durations-tau", list, _DURATIONS_TAU,
-                               "comma-separated erase durations in units of tau")],
+        "opts": [("u0-sigma", float, 1.0, "latched level in units of sigma_st"),
+                 ("durations-tau", list, _DURATIONS_TAU,
+                  "comma-separated erase durations in units of tau")] + _RUN_OPTS,
     },
     ("doublewell", "relax"): {
         "runner": _run_doublewell_relax,
         "opts": [("barrier-kt", float, 2.0, "barrier height in kT"),
                  ("side", int, 1, "written side, 0 or 1"),
                  ("t-total", float, 20.0, "total relaxation time"),
-                 ("dt", float, None, "time step (default: half the stability bound)")],
+                 _DW_DT_OPT] + _RUN_OPTS,
     },
     ("doublewell", "heated"): {
         "runner": _run_doublewell_heated,
@@ -310,12 +278,12 @@ _SUBCOMMANDS = {
                  ("t-hot", float, 4.0, "hot-bath temperature (ambient = 1)"),
                  ("side", int, 1, "written side, 0 or 1"),
                  ("t-total", float, 20.0, "total evolution time"),
-                 ("dt", float, None, "time step (default: half the stability bound)")],
+                 _DW_DT_OPT] + _RUN_OPTS,
     },
     ("doublewell", "escape"): {
         "runner": _run_doublewell_escape,
         "opts": [("barrier-kt", float, 2.0, "barrier height in kT"),
-                 ("dt", float, None, "time step (default: half the stability bound)")],
+                 _DW_DT_OPT] + _RUN_OPTS,
     },
     ("bounds", "brillouin"): {
         "runner": _run_bounds_brillouin,
@@ -364,13 +332,13 @@ def build_parser():
             gp = top.add_parser(group, allow_abbrev=False)
             groups[group] = gp.add_subparsers(dest="subcommand", required=True)
         sp = groups[group].add_parser(sub, parents=[common], allow_abbrev=False)
-        _add_opts(sp, spec["opts"] + _COMMON_OPTS)
+        _add_opts(sp, spec["opts"])
         sp.set_defaults(_spec=spec, _name=(group, sub))
 
     vp = top.add_parser("verify", help="run the acceptance suite", parents=[common],
                         allow_abbrev=False)
     _add_opts(vp, [_SEED_OPT])
-    vp.set_defaults(_spec={"opts": []}, _name=("verify", None))
+    vp.set_defaults(_spec={"opts": [_SEED_OPT]}, _name=("verify", None))
     return parser
 
 
@@ -400,18 +368,18 @@ def main(argv=None):
         output_dir = (args.output_dir or file_cfg.get("output_dir")
                       or os.environ.get("THERMOBIT_OUTPUT_DIR") or ".")
 
-        verify = args._name[0] == "verify"
-        o = _resolve_opts(args, file_cfg, [_SEED_OPT] if verify else spec["opts"] + _COMMON_OPTS)
-        _check_run(o)
-        if verify:
+        o = _resolve_opts(args, file_cfg, spec["opts"])
+        if args._name[0] == "verify":
+            # Checked up front: each criterion would otherwise fail on it in turn.
+            if not 0 <= o["master_seed"] < 2 ** 64:
+                raise ConfigError(f"master_seed must lie in [0, 2**64), got {o['master_seed']}")
             return _run_verify(o["master_seed"])
-        cell = _cell_from(o) if spec.get("cell") else None
     except ConfigError as exc:
         print(f"thermobit: config error: {exc}", file=sys.stderr)
         return 3
 
     try:
-        base, rows, extras = spec["runner"](o, cell)
+        base, rows, extras = spec["runner"](o)
         os.makedirs(output_dir, exist_ok=True)
         csv_path = os.path.join(output_dir, base + ".csv")
         write_csv(csv_path, list(rows[0]), [list(row.values()) for row in rows])

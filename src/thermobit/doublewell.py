@@ -16,7 +16,7 @@ number of workers.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -29,7 +29,7 @@ __all__ = ["DoubleWellParams", "RelaxationSeries", "EscapeInfeasibleError", "rel
            "heated_erase", "measure_escape_time", "BLOCK"]
 
 # Euler-Maruyama stability headroom: a tenth of the inverse curvature
-# scale at the minima, where U'' = 8*E/x0^2.
+# scale of the walk (see DoubleWellParams.max_stable_dt).
 _STABILITY_FRACTION = 0.1
 
 # Trajectories per ensemble task.  An EM step is a few numpy calls for the
@@ -69,7 +69,14 @@ class DoubleWellParams:
 
     @property
     def max_stable_dt(self):
-        return _STABILITY_FRACTION * self.damping * self.well_position ** 2 / (8.0 * self.barrier_height)
+        """Largest Euler-Maruyama step for a walk at this temperature.
+
+        A tenth of gamma*x0^2/(8*max(E, kT)): U'' = 8E/x0^2 at the minima,
+        and a walk hotter than its barrier spreads to |x| ~ (kT/E)^(1/4)*x0,
+        where U'' ~ 12*sqrt(E*kT)/x0^2 is of order 8kT/x0^2 or less.
+        """
+        return (_STABILITY_FRACTION * self.damping * self.well_position ** 2
+                / (8.0 * max(self.barrier_height, self.kT)))
 
     def potential(self, x):
         r = (np.asarray(x) / self.well_position) ** 2 - 1.0
@@ -210,7 +217,8 @@ def _relax(p, side, t_total, dt, n_traj, seed, temperature, worker_count):
     if not 0.0 < t_total < math.inf:
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
 
-    n_steps = math.ceil(_em_steps(p, n_traj, t_total, dt))
+    # The step must be stable at the temperature the walk runs at.
+    n_steps = math.ceil(_em_steps(replace(p, temperature=temperature), n_traj, t_total, dt))
     record = _log_step_grid(n_steps)
     task = partial(_relax_block, p=p, side=side, dt=dt, temperature=temperature, record=record)
     (x,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
@@ -258,8 +266,6 @@ def measure_escape_time(p: DoubleWellParams, n_traj, dt, seed, *, worker_count=1
     the draw budget before any block; a trajectory that has not escaped
     after oracles.CAP times its expected steps raises EscapeInfeasibleError.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
     mfpt = oracles.escape_mfpt(p.barrier_height / p.kT) * p.damping * p.well_position ** 2 / p.kT
     max_steps = math.ceil(oracles.CAP * _em_steps(p, n_traj, mfpt, dt))
     task = partial(_escape_block, p=p, dt=dt, max_steps=max_steps)

@@ -76,7 +76,7 @@ def _pool(worker_count):
 
 def _check_counts(n, worker_count):
     if n < 1:
-        raise ValueError("n_trajectories must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= worker_count <= MAX_WORKERS:
         raise ValueError(f"worker_count must lie in [1, {MAX_WORKERS}], got {worker_count}")
 

@@ -207,10 +207,9 @@ def check_determinism(master_seed):
                 if argv in failures:
                     continue
                 outdir = os.path.join(tmp, "_".join(argv[:2]), f"w{workers}")
-                full = list(argv) + ["--output-dir", outdir,
-                                     "--master-seed", str(master_seed)]
+                full = list(argv) + ["--output-dir", outdir]
                 if argv[0] in ("capacitor", "doublewell"):
-                    full += ["--workers", str(workers)]
+                    full += ["--master-seed", str(master_seed), "--workers", str(workers)]
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(full)
                 if rc != 0:

@@ -41,7 +41,7 @@ class TestExitCodes:
         code, _, err = run_cli(["capacitor", "erase", "--n", "0",
                                 "--output-dir", str(tmp_path)])
         assert code == 3
-        assert "config error" in err
+        assert "config error: n must be >= 1, got 0" in err
 
     def test_unsorted_duration_grid_is_config_error(self, tmp_path, run_cli):
         code, _, _ = run_cli(["capacitor", "mi-curve", "--durations-tau", "2,1",
@@ -99,14 +99,13 @@ class TestExitCodes:
         ["capacitor", "erase", "--master-seed", "-1"],
         ["capacitor", "write", "--u0-sigma", "0"],
         ["capacitor", "mi-curve", "--durations-tau", "nan"],
-        ["capacitor", "write", "--unit-mode", "si", "--temperature-K", "-1"],
-        ["capacitor", "write", "--unit-mode", "si", "--capacitance-F", "nan"],
         ["capacitor", "erase", "--u0-sigma", "-1"],
         ["capacitor", "mi-curve", "--durations-tau", "-1,1"],
         ["capacitor", "write", "--workers", str(ensemble.MAX_WORKERS + 1)],
     ])
     def test_bad_capacitor_input_is_config_error(self, tmp_path, monkeypatch, run_cli, argv):
         # Bad input is refused before any process starts: no pool is built.
+        # The seed and the worker count are checked by ensemble.run_blocks.
         built = []
         monkeypatch.setattr(ensemble, "_live", None)
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor",
@@ -193,6 +192,25 @@ class TestExitCodes:
         assert exc_info.value.code == 2
         assert "--max-time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        [*cmd, flag, value]
+        for cmd in (["capacitor", "write"], ["capacitor", "erase"], ["capacitor", "mi-curve"])
+        for flag, value in (("--unit-mode", "si"), ("--temperature-K", "300"),
+                            ("--resistance-ohm", "1e6"), ("--capacitance-F", "1e-12"))
+    ] + [
+        [*cmd, flag, "1"]
+        for cmd in (["bounds", "brillouin"], ["bounds", "anderson"], ["bounds", "icecube"],
+                    ["info", "eval"])
+        for flag in ("--n", "--master-seed", "--workers")
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_option_no_runner_reads_is_usage_error(self, capsys, argv):
+        # The capacitor runs in reduced units, so the cell's SI values would
+        # cancel out of every column; bounds and info run no ensemble.
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: " + argv[2] in capsys.readouterr().err
+
     def test_erase_has_no_dt_option(self, capsys):
         # An erase is one exact draw over its duration, so it takes no step.
         with pytest.raises(SystemExit) as exc_info:
@@ -216,7 +234,7 @@ class TestExitCodes:
         assert proc.returncode == 0
 
 
-# Every float flag of every simulating subcommand; the cell's take effect in si mode.
+# Every float flag of every simulating subcommand.
 _FLOAT_FLAGS = [(group, sub, flag) for (group, sub), spec in cli._SUBCOMMANDS.items()
                 if group in ("capacitor", "doublewell")
                 for flag, typ, _default, _help in spec["opts"] if typ in (float, list)]
@@ -229,13 +247,60 @@ def test_non_finite_float_flag_is_config_error(tmp_path, monkeypatch, capsys, ca
     made = []
     monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
     group, sub, flag = case
-    si = ["--unit-mode", "si"] if group == "capacitor" else []
-    code = cli.main([group, sub, f"--{flag}={value}", *si, "--n", "100",
+    code = cli.main([group, sub, f"--{flag}={value}", "--n", "100",
                      "--output-dir", str(tmp_path)])
     assert code == 3, (case, value)
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not made
+
+
+class _Reads(dict):
+    """An option dict that records which keys are read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS), ids=" ".join)
+def test_every_declared_option_is_read(name):
+    # An option its runner never reads cannot change a result.
+    args = cli.build_parser().parse_args(list(name))
+    declared = {key for key in vars(args) if not key.startswith("_")} - {
+        "command", "subcommand", "config", "output_dir"}
+    o = _Reads(cli._resolve_opts(args, {}, cli._SUBCOMMANDS[name]["opts"]))
+    o.update({key: value for key, value in (("n", 100), ("t_total", 0.5)) if key in o})
+    cli._SUBCOMMANDS[name]["runner"](o)
+    assert o.read == declared
+
+
+@pytest.mark.parametrize("argv", [
+    ["relax", "--barrier-kt", "0.001", "--n", "2000"],
+    ["relax", "--barrier-kt", "1e-300", "--n", "100"],
+    ["heated", "--t-hot", "4000"],  # past the draw budget at the stable step
+    ["heated", "--t-hot", "4000", "--n", "100", "--t-total", "0.01"],
+    ["heated", "--t-hot", "1e308"],
+    ["heated", "--t-hot", "16", "--n", "100", "--t-total", "1"],
+])
+def test_low_barrier_or_hot_bath_runs_finite_or_is_refused(tmp_path, run_cli, argv):
+    # The default step is stable at kT well above the barrier: a run either
+    # keeps every column finite or is refused before it starts, never overflows.
+    code, out, err = run_cli(["doublewell", *argv, "--output-dir", str(tmp_path)])
+    assert code in (0, 3), err
+    if code == 3:
+        assert not list(tmp_path.glob("*.csv"))
+        return
+    summary = json.loads(out)["summary"]
+    assert all(math.isfinite(v) for v in summary.values())
+    assert abs(summary.get("mean_U_drift", 0.0)) < 0.05
+    (csv_path,) = tmp_path.glob("*.csv")
+    for line in csv_path.read_text().splitlines()[1:]:
+        assert all(math.isfinite(float(field)) for field in line.split(","))
 
 
 class TestNumpyOnlyRuntime:
@@ -317,20 +382,20 @@ class TestManifest:
     """The manifest's config is the resolved options, under their own names."""
 
     @pytest.mark.parametrize("argv", [
-        ["capacitor", "write", "--n", "40", "--bit", "0", "--workers", "2"],
-        ["capacitor", "erase", "--n", "40", "--unit-mode", "si", "--duration-tau", "0.5"],
-        ["capacitor", "mi-curve", "--n", "40", "--durations-tau", "0,0.3,2"],
-        ["doublewell", "relax", "--n", "100", "--t-total", "0.5", "--side", "0"],
-        ["doublewell", "heated", "--n", "100", "--t-total", "0.5"],
-        ["doublewell", "escape", "--n", "20", "--dt", "0.002"],
+        ["capacitor", "write", "--n", "40", "--bit", "0", "--workers", "2", "--master-seed", "77"],
+        ["capacitor", "erase", "--n", "40", "--duration-tau", "0.5", "--master-seed", "77"],
+        ["capacitor", "mi-curve", "--n", "40", "--durations-tau", "0,0.3,2", "--master-seed", "77"],
+        ["doublewell", "relax", "--n", "100", "--t-total", "0.5", "--side", "0",
+         "--master-seed", "77"],
+        ["doublewell", "heated", "--n", "100", "--t-total", "0.5", "--master-seed", "77"],
+        ["doublewell", "escape", "--n", "20", "--dt", "0.002", "--master-seed", "77"],
         ["bounds", "brillouin", "--p-e", "0.2"],
         ["bounds", "anderson", "--delta-s-bits", "2"],
         ["bounds", "icecube", "--sensible"],
         ["info", "eval", "--p-e", "0.25"],
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_manifest_config_replays_the_run(self, tmp_path, run_cli, argv):
-        code, out, _ = run_cli(argv + ["--master-seed", "77", "--output-dir",
-                                       str(tmp_path / "first")])
+        code, out, _ = run_cli(argv + ["--output-dir", str(tmp_path / "first")])
         assert code == 0
         paths = json.loads(out)["outputs"]
         config = json.loads(Path(paths["manifest"]).read_text())["config"]
@@ -421,7 +486,6 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("argv, text, seed", [
         ([], "master_seed = 7\n", 7),
         (["--master-seed", "9"], "master_seed = 7\n", 9),
-        ([], "n = 10\n", 12345),
     ])
     def test_verify_reads_seed_from_config_file(self, tmp_path, monkeypatch, capsys,
                                                  argv, text, seed):
@@ -433,12 +497,14 @@ class TestConfigPrecedence:
         assert cli.main(["verify", "--config", str(cfg)] + argv) == 0
         assert seeds == [seed]
 
-    def test_verify_refuses_unknown_config_key(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("key", ["master_sed", "n", "workers"])
+    def test_verify_refuses_unknown_config_key(self, tmp_path, monkeypatch, capsys, key):
+        # verify reads master_seed and output_dir; the criteria fix their own n and workers.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("master_sed = 7\n")
+        cfg.write_text(f"{key} = 7\n")
         monkeypatch.setattr(verification, "run_all", lambda master_seed: pytest.fail("ran"))
         assert cli.main(["verify", "--config", str(cfg)]) == 3
-        assert "master_sed" in capsys.readouterr().err
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, text", [
         (["--master-seed", "-1"], None),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,12 @@ class TestParams:
         with pytest.raises(ValueError):
             DoubleWellParams(barrier_height=1.0, well_position=1.0,
                              damping=-1.0, temperature=1.0)
+
+    def test_stable_dt_follows_kT_below_a_low_barrier(self):
+        # Below E = kT the walk's thermal spread, not the minima, sets the curvature.
+        low, unit = DoubleWellParams.reduced(1e-3), DoubleWellParams.reduced(1.0)
+        assert low.max_stable_dt == unit.max_stable_dt
+        assert DoubleWellParams.reduced(2.0).max_stable_dt == 0.1 / 16.0
 
 
 def scalar_em_path(p, x, z, dt, temperature=None):
@@ -285,6 +292,15 @@ class TestHeatedErase:
         cold = relax_ensemble(p, 1, 3.0, dt, 1000, seed=43)
         assert abs(hot.p1[-1] - 0.5) < 0.06
         assert cold.p1[-1] > 0.8
+
+    def test_step_must_be_stable_at_the_hot_temperature(self):
+        # At kT_hot = 16 > E the stability bound is a quarter of the ambient one.
+        p = DoubleWellParams.reduced(4.0)
+        hot = p.max_stable_dt / 4.0
+        assert dataclasses.replace(p, temperature=16.0).max_stable_dt == hot
+        with pytest.raises(ValueError, match="stability bound"):
+            heated_erase(p, 16.0, 1.0, 0.5 * p.max_stable_dt, 100, seed=0)
+        heated_erase(p, 16.0, 0.1, 0.5 * hot, 100, seed=0)
 
     def test_rejects_cooling(self):
         p = DoubleWellParams.reduced(2.0)
