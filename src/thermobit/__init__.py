@@ -14,8 +14,8 @@ from .bounds import (BoundComparison, IceCubeModel, NoErasureError, anderson_bou
 from .capacitor import (EraseRecord, ErasureReport, WriteRecord, WriteTimeoutError, erase,
                         erase_dissipation_theory, partial_erase_error_prob,
                         run_erasure_experiment, write_bit)
-from .doublewell import (DoubleWellParams, EscapeInfeasibleError, RelaxationSeries,
-                         heated_erase, measure_escape_time, relax_ensemble)
+from .doublewell import (EscapeInfeasibleError, RelaxationSeries, heated_erase,
+                         max_stable_dt, measure_escape_time, relax_ensemble)
 from .ensemble import EnsembleWorkerError, run_parallel_ensemble
 from .infotheory import (BitChannelStats, binary_entropy, bit_information,
                          estimate_error_prob, wilson_interval)

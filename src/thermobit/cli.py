@@ -28,7 +28,6 @@ import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 import numpy as np
 
@@ -162,12 +161,10 @@ def _run_capacitor_mi_curve(o):
                                         "theory_Q_env_kT": theory}
 
 
-def _dw_params(o):
-    return dw_mod.DoubleWellParams.reduced(o["barrier_kt"])
-
-
-def _dw_dt(params, o):
-    return o["dt"] if o["dt"] is not None else 0.5 * params.max_stable_dt
+def _dw_dt(o, temperature=1.0):
+    if o["dt"] is not None:
+        return o["dt"]
+    return 0.5 * dw_mod.max_stable_dt(o["barrier_kt"], temperature)
 
 
 def _series_rows(series):
@@ -176,8 +173,7 @@ def _series_rows(series):
 
 
 def _run_doublewell_relax(o):
-    params = _dw_params(o)
-    series = dw_mod.relax_ensemble(params, o["side"], o["t_total"], _dw_dt(params, o),
+    series = dw_mod.relax_ensemble(o["barrier_kt"], o["side"], o["t_total"], _dw_dt(o),
                                    o["n"], o["master_seed"], worker_count=o["workers"])
     return "doublewell_relax", _series_rows(series), {
         "terminal_p1": float(series.p1[-1]),
@@ -185,9 +181,8 @@ def _run_doublewell_relax(o):
 
 
 def _run_doublewell_heated(o):
-    params = _dw_params(o)
     series, mean_du, se_du = dw_mod.heated_erase(
-        params, o["t_hot"], o["t_total"], _dw_dt(replace(params, temperature=o["t_hot"]), o),
+        o["barrier_kt"], o["t_hot"], o["t_total"], _dw_dt(o, o["t_hot"]),
         o["n"], o["master_seed"], side=o["side"], worker_count=o["workers"])
     return "doublewell_heated", _series_rows(series), {
         "terminal_p1": float(series.p1[-1]), "mean_absorbed_kT": mean_du,
@@ -195,8 +190,7 @@ def _run_doublewell_heated(o):
 
 
 def _run_doublewell_escape(o):
-    params = _dw_params(o)
-    mean_t, se_t = dw_mod.measure_escape_time(params, o["n"], _dw_dt(params, o),
+    mean_t, se_t = dw_mod.measure_escape_time(o["barrier_kt"], o["n"], _dw_dt(o),
                                               o["master_seed"], worker_count=o["workers"])
     row = {"barrier_kT": o["barrier_kt"], "n": o["n"], "mean_escape_time": mean_t,
            "se_escape_time": se_t}

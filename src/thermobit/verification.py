@@ -22,7 +22,7 @@ from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
 from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_block, _erased,
                         _write_cap, _write_rows, erase_dissipation_theory, erase_ensemble,
                         partial_erase_error_prob, run_erasure_experiment, write_ensemble)
-from .doublewell import BLOCK, DoubleWellParams, measure_escape_time, relax_ensemble
+from .doublewell import BLOCK, max_stable_dt, measure_escape_time, relax_ensemble
 from .ensemble import run_blocks, standard_error
 from .infotheory import binary_entropy, bit_information
 from .ou import CellParams, ou_sample_stationary, ou_step
@@ -103,8 +103,7 @@ def check_incomplete_erasure(master_seed):
 
 def check_passive_erasure(master_seed):
     """Double-well bit forgets (p1 -> 0.5) with mean potential energy constant."""
-    p = DoubleWellParams.reduced(2.0)
-    series = relax_ensemble(p, side=1, t_total=20.0, dt=0.5 * p.max_stable_dt,
+    series = relax_ensemble(2.0, side=1, t_total=20.0, dt=0.5 * max_stable_dt(2.0),
                             n_traj=10_000, seed=master_seed)
     terminal = series.p1[-1]
     drift = np.max(np.abs(series.mean_U - series.mean_U[0]))
@@ -133,9 +132,8 @@ def check_kramers_scaling(master_seed):
     """
     times, ses = {}, {}
     for barrier in (2.0, 3.0):
-        p = DoubleWellParams.reduced(barrier)
-        times[barrier], ses[barrier] = measure_escape_time(p, n_traj=3000,
-                                                           dt=0.5 * p.max_stable_dt,
+        times[barrier], ses[barrier] = measure_escape_time(barrier, n_traj=3000,
+                                                           dt=0.5 * max_stable_dt(barrier),
                                                            seed=master_seed)
     ratio = times[3.0] / times[2.0]
     se = ratio * math.hypot(ses[3.0] / times[3.0], ses[2.0] / times[2.0])

@@ -185,6 +185,42 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv", [
+        [sub, f"{flag}={value}"]
+        for sub, flags in (("relax", ("--barrier-kt", "--t-total", "--dt")),
+                           ("heated", ("--barrier-kt", "--t-total", "--dt")),
+                           ("escape", ("--barrier-kt", "--dt")))
+        for flag in flags for value in ("0", "-1", "-1e308")
+    ] + [["heated", f"--t-hot={value}"] for value in ("0", "-1", "0.999")])
+    def test_zero_or_negative_doublewell_input_is_refused_before_any_stream(
+            self, tmp_path, monkeypatch, run_cli, argv):
+        made = []
+        monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
+        code, _, err = run_cli(["doublewell", *argv, "--n", "100", "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "config error" in err
+        assert not list(tmp_path.glob("*.csv"))
+        assert not made
+
+    @pytest.mark.parametrize("argv", [
+        ["heated", "--t-hot", "1e308"],
+        ["heated", "--t-hot", "1e308", "--dt", "0.001"],
+        ["relax", "--barrier-kt", "1e308"],
+    ])
+    def test_overflowing_stability_bound_names_the_input_not_dt(
+            self, tmp_path, monkeypatch, run_cli, argv):
+        # 8*max(E, T) overflows, so the bound would be 0: the refusal names
+        # the barrier or temperature given, not a dt the user may never have set.
+        made = []
+        monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
+        code, _, err = run_cli(["doublewell", *argv, "--n", "100", "--output-dir", str(tmp_path)])
+        assert code == 3
+        message = err.split("config error: ", 1)[1]
+        assert "1e+308" in message
+        assert not message.startswith("dt")
+        assert not list(tmp_path.glob("*.csv"))
+        assert not made
+
     def test_escape_has_no_max_time_option(self, capsys):
         # The step cap follows from the exact mean first-passage time.
         with pytest.raises(SystemExit) as exc_info:
