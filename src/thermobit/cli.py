@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -305,13 +306,38 @@ _SUBCOMMANDS = {
 }
 
 
+# Every flag that takes a value.  main joins each to its value, so that
+# argparse reads "--u0-sigma -1e-3" as a value, not as a flag it does not know.
+_VALUE_FLAGS = {"--config", "--output-dir"} | {
+    "--" + flag for spec in _SUBCOMMANDS.values() for flag, typ, *_ in spec["opts"]
+    if typ is not bool}
+
+# The library keywords of the flags whose names differ from them; every other
+# flag's keyword is its name with "_" for "-".  A refusal names the flags.
+_KEYWORDS = {"workers": ("worker_count",), "n": ("n", "n_traj"),
+             "barrier-kt": ("barrier_kT",), "t-hot": ("T_hot", "temperature"),
+             "dt-tau": ("dt",), "u0-sigma": ("u0",), "duration-tau": ("duration", "t"),
+             "durations-tau": ("durations",)}
+
+
+def _flag_names(message, opts):
+    """`message` with each library keyword of an option in `opts` named by its flag.
+
+    A keyword is replaced where it is the subject of "must" or is followed
+    by "=", the two forms the library's refusals use.
+    """
+    for flag, *_ in opts:
+        for key in _KEYWORDS.get(flag, (flag.replace("-", "_"),)):
+            message = re.sub(rf"(?<![\w-]){key}(?= must\b| ?=)", "--" + flag, message)
+    return message
+
+
 @functools.cache
 def build_parser():
     # Built once per process: every option defaults to None and each
     # parse_args call fills a fresh namespace, so no call sees another's
     # values.  No prefix matching: "--durations" is refused rather than
-    # read as --durations-tau, so main's fuse below sees every spelling of
-    # the flag.
+    # read as --durations-tau, so main's join sees every spelling of a flag.
     parser = argparse.ArgumentParser(prog="thermobit", allow_abbrev=False,
                                      description="Thermal-memory erasure experiments")
     common = argparse.ArgumentParser(add_help=False)
@@ -351,9 +377,15 @@ def _run_verify(master_seed):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed([i for i, a in enumerate(argv[:-1]) if a == "--durations-tau"]):
-        argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]  # else argparse reads "-1,1" as a flag
-    args = build_parser().parse_args(argv)
+    joined, i = [], 0
+    while i < len(argv):
+        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv):
+            joined.append(argv[i] + "=" + argv[i + 1])
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    args = build_parser().parse_args(joined)
 
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}
@@ -366,7 +398,7 @@ def main(argv=None):
         if args._name[0] == "verify":
             # Checked up front: each criterion would otherwise fail on it in turn.
             if not 0 <= o["master_seed"] < 2 ** 64:
-                raise ConfigError(f"master_seed must lie in [0, 2**64), got {o['master_seed']}")
+                raise ConfigError(f"--master-seed must lie in [0, 2**64), got {o['master_seed']}")
             return _run_verify(o["master_seed"])
     except ConfigError as exc:
         print(f"thermobit: config error: {exc}", file=sys.stderr)
@@ -386,7 +418,7 @@ def main(argv=None):
         print(f"thermobit: runtime error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        print(f"thermobit: config error: {exc}", file=sys.stderr)
+        print(f"thermobit: config error: {_flag_names(str(exc), spec['opts'])}", file=sys.stderr)
         return 3
 
     print(json.dumps({"command": " ".join(args._name), "config": config,

@@ -14,7 +14,11 @@ absorbed energy.
 Ensembles run through ensemble.run_blocks in blocks of BLOCK
 trajectories; block k draws from the stream make_stream(master_seed, k)
 whatever the worker count, so the results are byte-identical for any
-number of workers.
+number of workers.  A block walks its rows through one Euler-Maruyama
+kernel, _em_chunks, that draws _CHUNK steps of noise at a time into one
+reused buffer: its working set is _CHUNK*rows*8 bytes plus its output,
+however many steps it walks, and its draws are those of one draw of the
+whole walk.
 """
 
 import math
@@ -34,7 +38,11 @@ __all__ = ["RelaxationSeries", "EscapeInfeasibleError", "max_stable_dt", "relax_
 # whole block, so their per-call overhead shrinks as rows per call grow.
 BLOCK = 2048
 
-# EM steps per noise draw; a round's noise is a (_ROUND, rows) array.
+# EM steps per noise draw into a block's one reused (_CHUNK, rows) buffer.
+_CHUNK = 32
+
+# Escape steps between drop-outs: rows that have crossed leave a block
+# only at the end of each round.
 _ROUND = 512
 
 
@@ -114,27 +122,37 @@ def _sample_rows(barrier_kT, side, rng, rows):
     return out
 
 
-def _em_round(x, width, barrier_kT, dt, temperature, rng):
-    """Walk every entry of x through `width` Euler-Maruyama steps; return the path.
+def _em_chunks(x, n_steps, barrier_kT, dt, temperature, rng, buf):
+    """Walk x in place through n_steps Euler-Maruyama steps, _CHUNK at a time.
 
-    Row k of the (width, rows) result is the state after step k + 1.  The
-    round's noise is one standard_normal((width, rows)) draw, so each
-    step's noise is contiguous.  Each step x <- x - U'(x)*dt + amp*z,
+    Yields (step, path) per chunk: row k of path is the state after step
+    step + k + 1, and x already holds the state after the chunk's last
+    step.  path is a view of the flat buffer buf (at least _CHUNK*x.size
+    floats; a block passes one to all its walks), which the next chunk's
+    noise overwrites, so a caller copies what it keeps.  numpy fills a
+    C-contiguous array in order, so the chunks' standard_normal draws
+    equal one (n_steps, x.size) draw.  Each step x <- x - U'(x)*dt + amp*z,
     computed as x*(1 + k1 - k1*x^2) + amp*z with k1 = 4*E*dt, overwrites
     its noise row in place.
     """
     k1 = 4.0 * barrier_kT * dt
-    path = rng.standard_normal((width, x.size))
-    path *= math.sqrt(2.0 * temperature * dt)
+    amp = math.sqrt(2.0 * temperature * dt)
     factor = np.empty(x.size)
-    for row in path:
-        np.multiply(x, x, out=factor)
-        factor *= -k1
-        factor += 1.0 + k1
-        factor *= x
-        row += factor
-        x = row
-    return path
+    for step in range(0, n_steps, _CHUNK):
+        width = min(_CHUNK, n_steps - step)
+        path = buf[:width * x.size].reshape(width, x.size)
+        rng.standard_normal(path.shape, out=path)
+        path *= amp
+        prev = x
+        for row in path:
+            np.multiply(prev, prev, out=factor)
+            factor *= -k1
+            factor += 1.0 + k1
+            factor *= prev
+            row += factor
+            prev = row
+        x[...] = prev  # a copy: the next chunk's draw overwrites path
+        yield step, path
 
 
 def _relax_block(stream, rows, barrier_kT, side, dt, temperature, record):
@@ -143,16 +161,16 @@ def _relax_block(stream, rows, barrier_kT, side, dt, temperature, record):
     Rows start from the ambient conditional equilibrium of `side` and
     evolve at `temperature` up to step record[-1].
     """
-    x = _sample_rows(barrier_kT, side, stream, rows)
-    states = [x[None]]
-    step, n_steps = 0, int(record[-1])
-    while step < n_steps:
-        width = min(_ROUND, n_steps - step)
-        path = _em_round(x, width, barrier_kT, dt, temperature, stream)
-        states.append(path[record[(record > step) & (record <= step + width)] - step - 1])
-        x = path[-1]
-        step += width
-    return (np.concatenate(states),)
+    out = np.empty((1 + record.size, rows))
+    out[0] = _sample_rows(barrier_kT, side, stream, rows)
+    x = out[0].copy()
+    done = 0  # records stored so far
+    for step, path in _em_chunks(x, int(record[-1]), barrier_kT, dt, temperature, stream,
+                                 np.empty(_CHUNK * rows)):
+        upto = np.searchsorted(record, step + len(path), side="right")
+        out[1 + done:1 + upto] = path[record[done:upto] - step - 1]
+        done = upto
+    return (out,)
 
 
 def _escape_block(stream, rows, barrier_kT, dt, max_steps):
@@ -163,15 +181,19 @@ def _escape_block(stream, rows, barrier_kT, dt, max_steps):
     steps = np.full(rows, -1, dtype=np.int64)
     active = np.arange(rows)
     x = np.full(rows, 1.0)
+    buf = np.empty(_CHUNK * rows)
     walked = 0
     while active.size and walked < max_steps:
         width = min(_ROUND, max_steps - walked)
-        path = _em_round(x, width, barrier_kT, dt, 1.0, stream)
-        crossed = path <= 0.0
-        hit = crossed.any(axis=0)
-        steps[active[hit]] = walked + crossed[:, hit].argmax(axis=0) + 1
+        first = np.zeros(active.size, dtype=np.int64)  # step in the round at x <= 0; 0 if none
+        for step, path in _em_chunks(x, width, barrier_kT, dt, 1.0, stream, buf):
+            crossed = path <= 0.0
+            new = crossed.any(axis=0) & (first == 0)
+            first[new] = step + crossed[:, new].argmax(axis=0) + 1
+        hit = first > 0
+        steps[active[hit]] = walked + first[hit]
         walked += width
-        active, x = active[~hit], path[-1, ~hit]
+        active, x = active[~hit], x[~hit]
     return (steps,)
 
 

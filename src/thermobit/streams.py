@@ -7,7 +7,9 @@ the same sequence, whichever worker consumes it, so results merge in
 stream-index order and stay byte-identical across worker counts.
 
 Streams are backed by numpy's Philox counter-based bit generator with
-the 128-bit key set to master_seed << 64 | stream_index.
+the 128-bit key set to master_seed << 64 | stream_index.  numpy fills an
+array in C order, so draws into consecutive arrays (standard_normal's
+`out`, a buffer refilled in place) equal one draw of their concatenation.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ _UINT64_MASK = (1 << 64) - 1
 
 def _check_word(name, value):
     if not 0 <= value <= _UINT64_MASK:
-        raise ValueError(f"{name} must fit in an unsigned 64-bit int")
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
 @dataclass
@@ -68,8 +70,9 @@ class RngStream:
             "uinteger": 0,
         }
 
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        """Normals of shape `size`, or written into `out` (C-contiguous float64 of that shape)."""
+        return self._gen.standard_normal(size, out=out)
 
     def uniform(self, size=None):
         return self._gen.random(size)

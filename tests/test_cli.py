@@ -41,7 +41,7 @@ class TestExitCodes:
         code, _, err = run_cli(["capacitor", "erase", "--n", "0",
                                 "--output-dir", str(tmp_path)])
         assert code == 3
-        assert "config error: n must be >= 1, got 0" in err
+        assert "config error: --n must be >= 1, got 0" in err
 
     def test_unsorted_duration_grid_is_config_error(self, tmp_path, run_cli):
         code, _, _ = run_cli(["capacitor", "mi-curve", "--durations-tau", "2,1",
@@ -221,6 +221,24 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.csv"))
         assert not made
 
+    @pytest.mark.parametrize("argv, message", [
+        (["capacitor", "write", "--workers", "257"], "--workers must lie in [1, 256], got 257"),
+        (["capacitor", "erase", "--master-seed", "-1"],
+         "--master-seed must lie in [0, 2**64), got -1"),
+        (["doublewell", "heated", "--t-hot", "0"], "--t-hot must be positive and finite, got 0.0"),
+        (["doublewell", "relax", "--barrier-kt", "0"],
+         "--barrier-kt must be positive and finite, got 0.0"),
+        (["doublewell", "heated", "--t-hot", "1e308"], "no Euler-Maruyama step is stable at "
+         "--barrier-kt=4.0 and --t-hot=1e+308: the bound is 0.0"),
+        # relax has no --t-hot: its walk runs at the ambient temperature 1.
+        (["doublewell", "relax", "--barrier-kt", "1e308"], "no Euler-Maruyama step is stable "
+         "at --barrier-kt=1e+308 and temperature=1.0: the bound is 0.0"),
+    ], ids=["workers", "master-seed", "t-hot", "barrier-kt", "t-hot-overflow", "relax-overflow"])
+    def test_refusal_names_the_flag(self, tmp_path, run_cli, argv, message):
+        code, _, err = run_cli(argv + ["--n", "100", "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert err == f"thermobit: config error: {message}\n"
+
     def test_escape_has_no_max_time_option(self, capsys):
         # The step cap follows from the exact mean first-passage time.
         with pytest.raises(SystemExit) as exc_info:
@@ -287,6 +305,29 @@ def test_non_finite_float_flag_is_config_error(tmp_path, monkeypatch, capsys, ca
                      "--output-dir", str(tmp_path)])
     assert code == 3, (case, value)
     assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not made
+
+
+# Zero is a valid erase level, erase duration and mi-curve duration.
+_ZERO_VALID = {("erase", "u0-sigma"), ("erase", "duration-tau"), ("mi-curve", "durations-tau")}
+
+
+@pytest.mark.parametrize("case, value", [
+    (case, value) for case in _FLOAT_FLAGS
+    for value in ("-1e-3", "-1e308", "-inf") + (() if case[1:] in _ZERO_VALID else ("0",))
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_negative_float_after_a_space_is_config_error(tmp_path, monkeypatch, run_cli, case,
+                                                      value):
+    # argparse reads "-1e-3" or "-inf" on its own as an unknown flag (exit 2)
+    # unless main joins it to its flag.
+    made = []
+    monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args))
+    group, sub, flag = case
+    code, _, err = run_cli([group, sub, f"--{flag}", value, "--n", "100",
+                            "--output-dir", str(tmp_path)])
+    assert code == 3
+    assert "config error" in err
     assert not list(tmp_path.glob("*.csv"))
     assert not made
 
@@ -554,7 +595,7 @@ class TestConfigPrecedence:
             argv = argv + ["--config", str(cfg)]
         monkeypatch.setattr(verification, "run_all", lambda master_seed: pytest.fail("ran"))
         assert cli.main(["verify"] + argv) == 3
-        assert "master_seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert "--master-seed must lie in [0, 2**64)" in capsys.readouterr().err
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch, run_cli):
         monkeypatch.setenv("THERMOBIT_OUTPUT_DIR", str(tmp_path))

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -82,13 +84,41 @@ def scalar_em_path(barrier, x, z, dt, temperature=1.0):
     return path
 
 
+def em_walk(x, n_steps, barrier, dt, rng, temperature=1.0):
+    """Drain doublewell._em_chunks: walk x in place; return the path, copied chunk by chunk."""
+    buf = np.empty(doublewell._CHUNK * x.size)
+    return np.concatenate([path.copy() for _, path in doublewell._em_chunks(
+        x, n_steps, barrier, dt, temperature, rng, buf)])
+
+
+class KickStream:
+    """Zero noise, but for one normal at each (step, column) that walks x = 1 to x = -1.
+
+    Walked from x = 1 with this noise, a row stays at 1 (the minimum, up
+    to rounding) until its kick and at -1 after it, so it first reads
+    x <= 0 at exactly the kicked step; the columns are the active rows
+    of the draw that holds the step.
+    """
+
+    def __init__(self, kicks, dt):
+        self.kicks, self.z, self.steps = kicks, -2.0 / math.sqrt(2.0 * dt), 0
+
+    def standard_normal(self, size, out):
+        out[...] = 0.0
+        for step, col in self.kicks:
+            if self.steps < step <= self.steps + size[0]:
+                out[step - self.steps - 1, col] = self.z
+        self.steps += size[0]
+        return out
+
+
 class TestEmStep:
     def test_drift_vanishes_at_stationary_points(self):
         dt = 0.5 * max_stable_dt(2.0)
         amp = math.sqrt(2.0 * dt)
         x0 = np.array([0.0, 1.0, -1.0])
         z = make_stream(30, 0).standard_normal((1, 3))
-        got = doublewell._em_round(x0, 1, 2.0, dt, 1.0, make_stream(30, 0))
+        got = em_walk(x0.copy(), 1, 2.0, dt, make_stream(30, 0))
         np.testing.assert_allclose(got[0], x0 + amp * z[0], rtol=1e-14, atol=1e-14)
 
     def test_rejects_unstable_dt(self):
@@ -105,44 +135,90 @@ class TestEmStep:
         dt = 0.5 * max_stable_dt(2.0)
         rng = make_stream(31, 0)
         x = np.concatenate([doublewell._sample_rows(2.0, side, rng, 1000) for side in (0, 1)])
-        for _ in range(2):
-            x = doublewell._em_round(x, 500, 2.0, dt, 1.0, rng)[-1]
+        em_walk(x, 1000, 2.0, dt, rng)
         xs = np.linspace(-2.0, 2.0, 41)
         theory = boltzmann_cdf_grid(2.0, xs)
         empirical = np.array([(x <= xi).mean() for xi in xs])
         assert np.max(np.abs(empirical - theory)) < 0.05
 
+    def test_carried_state_is_a_copy_of_the_last_row(self):
+        # The next chunk's draw overwrites the buffer, so a state that
+        # aliased it would start that chunk from fresh noise.
+        dt = 0.5 * max_stable_dt(2.0)
+        x = np.array([1.0, -1.0, 0.5])
+        buf = np.empty(doublewell._CHUNK * x.size)
+        for _, path in doublewell._em_chunks(x, 3 * doublewell._CHUNK, 2.0, dt, 1.0,
+                                             make_stream(33, 0), buf):
+            assert not np.shares_memory(x, buf)
+            np.testing.assert_array_equal(x, path[-1])
+
 
 class TestBlockKernels:
     def test_relax_block_matches_scalar_loop(self):
-        # 700 steps span two noise rounds (512 + 188), so the carried state
-        # and the per-round draw layout are both pinned.
+        # 700 steps are 21 chunks and 28 steps; the record adds the last
+        # step of a chunk (32, 512) and the first of the next (33, 513).
         dt = 0.5 * max_stable_dt(2.0)
         rows, n_steps = 5, 700
-        record = doublewell._log_step_grid(n_steps)
+        assert n_steps % doublewell._CHUNK
+        record = np.union1d(doublewell._log_step_grid(n_steps), [32, 33, 512, 513])
         (got,) = doublewell._relax_block(make_stream(50, 0), rows, 2.0, 1, dt, 3.0, record)
 
         rng = make_stream(50, 0)
         x0 = doublewell._sample_rows(2.0, 1, rng, rows)
-        z = np.concatenate([rng.standard_normal((doublewell._ROUND, rows)),
-                            rng.standard_normal((n_steps - doublewell._ROUND, rows))])
-        want = scalar_em_path(2.0, x0, z, dt, temperature=3.0)
+        want = scalar_em_path(2.0, x0, rng.standard_normal((n_steps, rows)), dt, temperature=3.0)
         assert got.shape == (1 + record.size, rows)
         np.testing.assert_array_equal(got[0], x0)
         np.testing.assert_allclose(got[1:], want[record - 1], rtol=1e-12)
 
     def test_escape_block_matches_scalar_loop(self):
-        # Within one round: each row's escape step is the first step of the
-        # reference path at x <= 0, and -1 when it never gets there.
-        dt = 0.5 * max_stable_dt(1.0)
-        rows, max_steps = 40, 400
-        (got,) = doublewell._escape_block(make_stream(51, 0), rows, 1.0, dt, max_steps)
+        # 700 steps are one round and 188 steps: rows that crossed in the
+        # round drop out, and the rest draw their own (188, rows) noise.
+        dt = 0.5 * max_stable_dt(2.0)
+        rows, max_steps, width = 40, 700, doublewell._ROUND
+        (got,) = doublewell._escape_block(make_stream(51, 0), rows, 2.0, dt, max_steps)
 
-        z = make_stream(51, 0).standard_normal((max_steps, rows))
-        crossed = scalar_em_path(1.0, np.full(rows, 1.0), z, dt) <= 0.0
-        want = np.where(crossed.any(axis=0), crossed.argmax(axis=0) + 1, -1)
+        rng = make_stream(51, 0)
+        path = scalar_em_path(2.0, np.full(rows, 1.0), rng.standard_normal((width, rows)), dt)
+        crossed = path <= 0.0
+        first = crossed.any(axis=0)
+        want = np.where(first, crossed.argmax(axis=0) + 1, -1)
+        rest = np.flatnonzero(~first)
+        crossed = scalar_em_path(2.0, path[-1, rest], rng.standard_normal((max_steps - width,
+                                                                          rest.size)), dt) <= 0.0
+        want[rest] = np.where(crossed.any(axis=0), width + crossed.argmax(axis=0) + 1, -1)
         np.testing.assert_array_equal(got, want)
-        assert (want > 0).any() and (want < 0).any()
+        assert (want <= width).any() and (want > width).any() and (want < 0).any()
+
+    def test_escape_steps_at_chunk_and_round_ends(self):
+        # Rows 0-3 cross at the last step of the first chunk, the last step
+        # of the round, the first of the next round and the walk's last
+        # step; row 4 never does.  Rows 2-4 are columns 0-2 after the round.
+        dt = 0.5 * max_stable_dt(2.0)
+        c, width = doublewell._CHUNK, doublewell._ROUND
+        kicks = [(c, 0), (width, 1), (width + 1, 0), (width + 188, 1)]
+        (got,) = doublewell._escape_block(KickStream(kicks, dt), 5, 2.0, dt, width + 188)
+        np.testing.assert_array_equal(got, [c, width, width + 1, width + 188, -1])
+
+    def test_block_working_set_is_bounded(self):
+        # A 2048-row block holds its output (1.3 MB for the default relax's
+        # 78 records) and one (_CHUNK, rows) noise buffer of 0.5 MB; one
+        # (_ROUND, rows) round of noise alone would be 8.4 MB.
+        dt = 0.5 * max_stable_dt(2.0)
+        record = doublewell._log_step_grid(6400)
+        dt3 = 0.5 * max_stable_dt(3.0)
+        max_steps = math.ceil(oracles.CAP * oracles.escape_mfpt(3.0) / dt3)
+        peaks = []
+        for block in (partial(doublewell._relax_block, make_stream(52, 0), BLOCK, 2.0, 1, dt,
+                              1.0, record),
+                      partial(doublewell._escape_block, make_stream(53, 0), BLOCK, 3.0, dt3,
+                              max_steps)):
+            tracemalloc.start()
+            try:
+                block()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 4e6 and peaks[1] <= 2e6, peaks
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exhausted_budget_raises_unwrapped(self, monkeypatch, workers):

@@ -32,6 +32,18 @@ def test_output_independent_of_consumption_pattern():
     np.testing.assert_array_equal(one_shot, np.concatenate(parts))
 
 
+def test_draws_into_a_reused_buffer_equal_one_draw():
+    # The double well's walk refills one buffer, the last chunk through a
+    # shorter view of it, and must draw what one (steps, rows) draw would.
+    one_shot = make_stream(42, 8).standard_normal((70, 3))
+    stream, buf, parts = make_stream(42, 8), np.empty(32 * 3), []
+    for start in range(0, 70, 32):
+        chunk = buf[:min(32, 70 - start) * 3].reshape(-1, 3)
+        assert stream.standard_normal(chunk.shape, out=chunk) is chunk
+        parts.append(chunk.copy())
+    np.testing.assert_array_equal(one_shot, np.concatenate(parts))
+
+
 @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
 def test_key_range_validated(seed, index):
     with pytest.raises(ValueError):
