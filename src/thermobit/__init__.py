@@ -9,7 +9,7 @@ against.
 
 __version__ = "0.1.0"  # set before the submodules load: reporting reads it
 
-from .bounds import (BoundComparison, IceCubeModel, NoErasureError, anderson_bound,
+from .bounds import (BOLTZMANN, BoundComparison, IceCubeModel, NoErasureError, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy)
 from .capacitor import (EraseRecord, ErasureReport, WriteRecord, WriteTimeoutError, erase,
                         erase_dissipation_theory, partial_erase_error_prob,
@@ -19,5 +19,5 @@ from .doublewell import (EscapeInfeasibleError, RelaxationSeries, heated_erase,
 from .ensemble import EnsembleWorkerError, run_parallel_ensemble
 from .infotheory import (BitChannelStats, binary_entropy, bit_information,
                          estimate_error_prob, wilson_interval)
-from .ou import BOLTZMANN, CellParams, ou_sample_stationary, ou_step
+from .ou import ou_step
 from .streams import RngStream, make_stream

@@ -14,9 +14,8 @@ draws the latent heat from the environment, ~7e23 kT for 10 cm^3 at
 import math
 from dataclasses import dataclass
 
-from .ou import BOLTZMANN, _check_positive
-
 __all__ = [
+    "BOLTZMANN",
     "IceCubeModel",
     "BoundComparison",
     "NoErasureError",
@@ -24,6 +23,9 @@ __all__ = [
     "anderson_bound",
     "ice_cube_erasure_energy",
 ]
+
+# SI defining value of the Boltzmann constant, J/K.
+BOLTZMANN = 1.380649e-23
 
 FREEZING_POINT = 273.15  # K
 INITIAL_ICE_TEMPERATURE = 255.15  # K, a freezer; the meltwater ends at ambient
@@ -39,10 +41,24 @@ class NoErasureError(ValueError):
     """Ambient at or below freezing: the cube does not melt, so nothing erases."""
 
 
-def _check_finite(**values):
+def _check_positive(**values):
     for name, x in values.items():
-        if not math.isfinite(x):
-            raise ValueError(f"{name} is not finite: {x!r}")
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _kT(T):
+    """BOLTZMANN*T, joules, for a temperature T whose kT is positive and finite."""
+    if not (0.0 < BOLTZMANN * T and T < math.inf):
+        raise ValueError(f"T must be positive and finite, with BOLTZMANN*T above 0, got {T!r}")
+    return BOLTZMANN * T
+
+
+def _check_finite(what, values, **inputs):
+    """Refuse the inputs if `what`, the numbers `values` made from them, is not finite."""
+    if not all(math.isfinite(x) for x in values):
+        given = ", ".join(f"{name}={x!r}" for name, x in inputs.items())
+        raise ValueError(f"{given} give a non-finite {what}")
 
 
 def brillouin_min_dissipation(p_e, T):
@@ -55,8 +71,7 @@ def brillouin_min_dissipation(p_e, T):
     if not 0.0 < p_e <= 0.5:
         raise ValueError(f"p_e must lie in (0, 0.5], got {p_e!r}")
     # kT > 0 and -ln(p_e) <= 745 keep the result finite; 1/p_e would overflow.
-    _check_positive(T=T, kT=BOLTZMANN * T)
-    return BOLTZMANN * T * -math.log(p_e)
+    return _kT(T) * -math.log(p_e)
 
 
 def anderson_bound(delta_S_bits, T):
@@ -64,9 +79,8 @@ def anderson_bound(delta_S_bits, T):
     delta_S_bits = float(delta_S_bits)
     if not (math.isfinite(delta_S_bits) and delta_S_bits >= 0.0):
         raise ValueError(f"delta_S_bits must be finite and non-negative, got {delta_S_bits!r}")
-    _check_positive(T=T, kT=BOLTZMANN * T)
-    bound = -BOLTZMANN * T * math.log(2.0) * delta_S_bits
-    _check_finite(bound=bound)
+    bound = -_kT(T) * math.log(2.0) * delta_S_bits
+    _check_finite("bound", [bound], delta_S_bits=delta_S_bits, T=T)
     return bound
 
 
@@ -81,8 +95,11 @@ class IceCubeModel:
     include_sensible_heat: bool = False
 
     def __post_init__(self):
-        # Every field but the flag is a physical quantity: finite and positive.
-        _check_positive(**{k: v for k, v in vars(self).items() if k != "include_sensible_heat"})
+        _check_positive(**self._quantities())
+
+    def _quantities(self):
+        """Every field but the flag: the physical quantities, each finite and positive."""
+        return {k: v for k, v in vars(self).items() if k != "include_sensible_heat"}
 
 
 @dataclass(frozen=True)
@@ -122,6 +139,6 @@ def ice_cube_erasure_energy(model: IceCubeModel) -> BoundComparison:
         anderson_kT=bound / kT,
         violation_factor=q / abs(bound),
     )
-    _check_finite(**vars(comp))
+    _check_finite("cooling", vars(comp).values(), **model._quantities())
     return comp
 

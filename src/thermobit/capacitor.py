@@ -6,13 +6,14 @@ level (+u0 for bit 1, -u0 for bit 0).  Read-out is a sign decision.
 Erasure reconnects the resistor with no measurement and lets the cell
 thermalize back to the stationary law.
 
-Every record carries an exact per-trajectory ledger: over a connected
-interval with no external work, the heat delivered to the bath equals
-the negative change of stored capacitor energy, Q_env = -(E_final -
-E_start) with E = C*V^2/2.  The ensemble mean of the heat of an erase
-that lasts t is (1 - exp(-2t/tau))*(C*u0^2 - kT)/2, which is negative
-whenever u0 < sigma_st: erasing a weakly-written bit cools the
-environment.
+Units are those of thermobit.ou: voltages in sigma = sqrt(kT/C), times
+in tau = RC, heats and control costs in kT.  Every record carries an
+exact per-trajectory ledger: over a connected interval with no external
+work, the heat delivered to the bath equals the negative change of
+stored capacitor energy, Q_env = -(E_final - E_start) with E = V^2/2.
+The ensemble mean of the heat of an erase that lasts t is
+(1 - exp(-2t))*(u0^2 - 1)/2, which is negative whenever u0 < 1: erasing
+a weakly-written bit cools the environment.
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 from . import oracles
 from .ensemble import run_blocks, standard_error
 from .infotheory import BitChannelStats, bit_information, estimate_error_prob
-from .ou import CellParams, _advance, _transition, ou_sample_stationary
+from .ou import _advance, _transition
 from .streams import RngStream
 
 __all__ = ["WriteRecord", "EraseRecord", "ErasureReport", "WriteTimeoutError", "write_bit",
@@ -38,7 +39,7 @@ BLOCK = 256
 # Normals drawn per row per first-passage round.
 _ROUND_WIDTH = 128
 # Smallest mu^(_ROUND_WIDTH - 1) walked by one prefix sum (dt <= 2.72 tau).
-# The scan weights s*mu^-i then stay below 1.3e304 for any finite kT/C.
+# The scan weights s*mu^-i then stay below 1e150, since s <= 1.
 _SCAN_FLOOR = 1e-150
 
 # No standard normal that numpy's Generator draws exceeds 14 in magnitude:
@@ -58,13 +59,13 @@ class WriteRecord:
     """Outcome and energy ledger of one write operation."""
 
     bit_written: int
-    target_level: float  # signed, volts
-    duration: float  # seconds
+    target_level: float  # signed, sigma
+    duration: float  # tau
     v_start: float
     v_final: float  # == target_level (snapped at the crossing)
     n_samples: int  # measurement decisions taken by the controller
-    bath_heat: float  # Q_env, joules
-    control_cost_lower_bound: float  # joules, n_samples * per-decision cost
+    bath_heat: float  # Q_env, kT
+    control_cost_lower_bound: float  # kT, n_samples * per-decision cost
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,11 @@ class ErasureReport:
     info_bits: float  # 1 - h2(p_e_hat): bits a reader can still recover
 
 
-def erase_dissipation_theory(u0, t, p: CellParams):
-    """Exact mean bath heat of an erase from +-u0 that lasts t: (1 - mu^2)*(C*u0^2 - kT)/2.
+def erase_dissipation_theory(u0, t):
+    """Exact mean bath heat of an erase from +-u0 that lasts t: (1 - mu^2)*(u0^2 - 1)/2.
 
-    With mu = exp(-t/tau), V(t) ~ N(+-u0*mu, (kT/C)*(1 - mu^2)), and the heat
-    is the mean drop of C*V^2/2; it tends to the complete-erase (C*u0^2 - kT)/2.
+    With mu = exp(-t), V(t) ~ N(+-u0*mu, 1 - mu^2), and the heat is the
+    mean drop of V^2/2; it tends to the complete-erase (u0^2 - 1)/2.
     """
     u0 = float(u0)
     t = float(t)
@@ -100,17 +101,18 @@ def erase_dissipation_theory(u0, t, p: CellParams):
         raise ValueError(f"u0 must be non-negative, got {u0!r}")
     if not (t >= 0.0):
         raise ValueError(f"t must be non-negative, got {t!r}")
-    mu = math.exp(-t / p.tau)
-    return 0.5 * (1.0 - mu * mu) * (p.capacitance * u0 * u0 - p.kT)
+    mu = math.exp(-t)
+    return 0.5 * (1.0 - mu * mu) * (u0 * u0 - 1.0)
 
 
-def partial_erase_error_prob(u0, t, p: CellParams):
+def partial_erase_error_prob(u0, t, cell=None):
     """Analytic read-error probability after erasing for time t.
 
     Starting from +-u0, the voltage at time t is Gaussian with mean
-    +-u0*mu and std sigma_st*sqrt(1-mu^2), mu = exp(-t/tau); the sign
-    read errs with probability Phi(-u0*mu / std).  Returns 0 at t = 0
-    and tends to 0.5 as t -> infinity.
+    +-u0*mu and std sqrt(1-mu^2), mu = exp(-t); the sign read errs with
+    probability Phi(-u0*mu / std).  Returns 0 at t = 0 and tends to 0.5
+    as t -> infinity.  `cell` is ignored: the benchmark's self-test
+    passes CellParams.reduced().
     """
     u0 = float(u0)
     t = float(t)
@@ -120,19 +122,19 @@ def partial_erase_error_prob(u0, t, p: CellParams):
         raise ValueError(f"t must be non-negative, got {t!r}")
     if t == 0.0:
         return 0.0
-    mu = math.exp(-t / p.tau)
+    mu = math.exp(-t)
     if mu == 0.0:
         return 0.5
-    a = u0 * mu / (p.sigma_st * math.sqrt(1.0 - mu * mu))
+    a = u0 * mu / math.sqrt(1.0 - mu * mu)
     return 0.5 * math.erfc(a * math.sqrt(0.5))
 
 
-def _bath_heat(c, v_from, v_to):
+def _bath_heat(v_from, v_to):
     """Ledger identity: heat to the bath is minus the stored-energy change."""
-    return 0.5 * c * v_from * v_from - 0.5 * c * v_to * v_to
+    return 0.5 * v_from * v_from - 0.5 * v_to * v_to
 
 
-def _first_passage(v, target, p: CellParams, dt, rng, max_steps):
+def _first_passage(v, target, dt, rng, max_steps):
     """Steps each row's sampled walk v <- mu*v + s*z takes to reach its target.
 
     Rows that start at or beyond their target take 0 steps.  Each round
@@ -153,7 +155,7 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_steps):
     +-u0.  The drawn normals are left as drawn.  The walk stops with
     WriteTimeoutError once `walked` passes max_steps.
     """
-    mu, s = _transition(dt, p)
+    mu, s = _transition(dt)
     decay = mu ** np.arange(_ROUND_WIDTH)
     scan = decay[-1] >= _SCAN_FLOOR
     weight = s / decay if scan else s
@@ -183,11 +185,11 @@ def _first_passage(v, target, p: CellParams, dt, rng, max_steps):
         active, sign, level, prev = active[miss], sign[miss], level[miss], path[miss, -1]
         if active.size and walked > max_steps:
             raise WriteTimeoutError(f"no passage of {active.size} writes within {max_steps:.3g} "
-                                    f"steps (u0/sigma = {abs(target[0]) / p.sigma_st:.3g})")
+                                    f"steps (u0 = {abs(target[0]):.3g} sigma)")
     return steps
 
 
-def _write_cap(u0, p: CellParams, dt, rows):
+def _write_cap(u0, dt, rows):
     """Refuse bad arguments or `rows` writes past the draw budget; return a walk's step cap.
 
     A walk expects the oracle's mean time over dt steps or, once samples
@@ -199,24 +201,23 @@ def _write_cap(u0, p: CellParams, dt, rows):
         raise ValueError(f"u0 must be positive, got {u0!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt!r}")
-    x = u0 / p.sigma_st
-    steps = oracles.write_mfpt(x, dt / p.tau) * p.tau / dt
-    if steps < math.inf:  # then x < 37, and erfc(x/sqrt(2)) is not 0
-        steps = max(steps, 2.0 / math.erfc(x * math.sqrt(0.5)))
+    steps = oracles.write_mfpt(u0, dt) / dt
+    if steps < math.inf:  # then u0 < 37, and erfc(u0/sqrt(2)) is not 0
+        steps = max(steps, 2.0 / math.erfc(u0 * math.sqrt(0.5)))
     oracles.check_budget(rows, steps, -(-rows // BLOCK))
     return oracles.CAP * steps
 
 
-def _write_rows(bits, u0, p: CellParams, dt, rng: RngStream, max_steps):
+def _write_rows(bits, u0, dt, rng: RngStream, max_steps):
     """Write bits[i] on row i within max_steps; return (v_start, target, steps, control_cost)."""
     target = np.where(bits == 1, u0, -u0)
-    v_start = ou_sample_stationary(p, rng, size=target.size)
-    steps = _first_passage(v_start, target, p, dt, rng, max_steps)
-    control = (steps + 1) * (p.kT * math.log(2.0))
+    v_start = rng.standard_normal(target.size)  # the stationary law N(0, 1)
+    steps = _first_passage(v_start, target, dt, rng, max_steps)
+    control = (steps + 1) * math.log(2.0)
     return v_start, target, steps, control
 
 
-def write_bit(bit, u0, p: CellParams, dt, rng: RngStream):
+def write_bit(bit, u0, cell, dt, rng: RngStream):
     """Write `bit` by first passage of the connected cell to +-u0.
 
     The initial state is a fresh stationary sample (the cell is assumed
@@ -229,15 +230,16 @@ def write_bit(bit, u0, p: CellParams, dt, rng: RngStream):
 
     The control-cost lower bound charges kT*ln 2 per measurement
     decision, reported separately from the bath heat.  See _write_cap for its limits.
+    `cell` is ignored: the benchmark's pool probe passes CellParams.reduced().
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     u0 = float(u0)
     v_start, target, steps, control = (x.item() for x in _write_rows(
-        np.array([bit]), u0, p, dt, rng, _write_cap(u0, p, dt, 1)))
+        np.array([bit]), u0, dt, rng, _write_cap(u0, dt, 1)))
     return WriteRecord(bit_written=bit, target_level=target, duration=steps * dt,
                        v_start=v_start, v_final=target, n_samples=steps + 1,
-                       bath_heat=_bath_heat(p.capacitance, v_start, target),
+                       bath_heat=_bath_heat(v_start, target),
                        control_cost_lower_bound=control)
 
 
@@ -248,42 +250,41 @@ def _check_erase_args(v0, duration):
         raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
 
 
-def erase(v0, duration, p: CellParams, dt, rng: RngStream):
+def erase(v0, duration, cell, dt, rng: RngStream):
     """Reconnect the resistor and thermalize for `duration` (no measurement).
 
     One exact OU transition over `duration`, which is also the recorded
-    duration.  `dt` is accepted and ignored: the exact law needs no step,
-    and the benchmark's pool probe (perfbench/layers.py) still passes it
-    positionally.  The bath heat follows from the ledger identity alone.
+    duration.  `cell` and `dt` are accepted and ignored: the exact law
+    needs no step, and the benchmark's pool probe (perfbench/layers.py)
+    still passes both positionally.  The bath heat follows from the
+    ledger identity alone.
     """
     v0 = float(v0)
     _check_erase_args(v0, duration)
-    v_final = _erased(np.array([v0]), duration, p, *_erase_block(rng, 1, duration)).item()
+    v_final = _erased(np.array([v0]), duration, *_erase_block(rng, 1, duration)).item()
     return EraseRecord(v_start=v0, v_final=v_final, duration=float(duration),
-                       bath_heat=_bath_heat(p.capacitance, v0, v_final))
+                       bath_heat=_bath_heat(v0, v_final))
 
 
-def _check_heat_range(u0, p: CellParams, n):
+def _check_heat_range(u0, n):
     """Refuse a level u0 at which the heat statistics of n erases could overflow.
 
-    An erase from +-u0 ends within |u0| + 14*sigma_st (mu <= 1, s <= sigma_st,
-    |z| <= _Z_BOUND), so every heat lies within +-x^2/2 kT with
-    x = |u0|/sigma_st + 14, and its deviation from the mean within x^2 kT.
-    The largest value a run forms is the sum over rows of the squared heat
-    deviation, behind the SE: at most n*x^4 kT^2 in joules, n*x^4 in units
-    of kT.  Both must stay below 1e300, which holds for |u0| up to about
-    5e74 sigma_st at n = 10 and 2e73 sigma_st at n = 10**7 (reduced units).
+    An erase from +-u0 ends within |u0| + 14 (mu <= 1, s <= 1,
+    |z| <= _Z_BOUND), so every heat lies within +-x^2/2 with x = |u0| + 14,
+    and its deviation from the mean within x^2.  The largest value a run
+    forms is the sum over rows of the squared heat deviation, behind the
+    SE: at most n*x^4.  It must stay below 1e300, which holds for |u0| up
+    to about 5e74 at n = 10 and 2e73 at n = 10**7.
     """
-    x = abs(u0) / p.sigma_st + _Z_BOUND
-    dev = x * x * max(1.0, p.kT)  # float products overflow to inf, never raise
+    x = abs(u0) + _Z_BOUND
+    dev = x * x  # float products overflow to inf, never raise
     if not n * dev * dev < _HEAT_SUM_MAX:
-        raise ValueError(f"u0 = {u0!r} V ({abs(u0) / p.sigma_st:.3g} sigma_st) overflows "
-                         f"the heat statistics of {n} erases")
+        raise ValueError(f"u0 = {u0!r} overflows the heat statistics of {n} erases")
 
 
-def _write_block(stream, rows, bit, u0, p, dt, max_steps):
-    v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, p, dt, stream, max_steps)
-    return _bath_heat(p.capacitance, v_start, target), steps, control
+def _write_block(stream, rows, bit, u0, dt, max_steps):
+    v_start, target, steps, control = _write_rows(np.full(rows, bit), u0, dt, stream, max_steps)
+    return _bath_heat(v_start, target), steps, control
 
 
 # Erase blocks only draw; their ensemble computes the states and heats
@@ -298,12 +299,12 @@ def _erasure_block(stream, rows, duration):
     return (stream.integers(0, 2, size=rows),) + _erase_block(stream, rows, duration)
 
 
-def _erased(v0, duration, p: CellParams, z):
+def _erased(v0, duration, z):
     """v0 thermalized for `duration` on the normals z of _erase_block."""
-    return v0 if duration == 0.0 else _advance(v0, duration, p, z)
+    return v0 if duration == 0.0 else _advance(v0, duration, z)
 
 
-def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
+def write_ensemble(bit, u0, dt, n, master_seed, *,
                    worker_count=1, stream_offset=0):
     """Write `bit` on n independent cells (see write_bit).
 
@@ -313,27 +314,27 @@ def write_ensemble(bit, u0, p: CellParams, dt, n, master_seed, *,
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     u0 = float(u0)
-    task = partial(_write_block, bit=bit, u0=u0, p=p, dt=dt, max_steps=_write_cap(u0, p, dt, n))
+    task = partial(_write_block, bit=bit, u0=u0, dt=dt, max_steps=_write_cap(u0, dt, n))
     return run_blocks(task, n, BLOCK, master_seed,
                       worker_count=worker_count, stream_offset=stream_offset)
 
 
-def erase_ensemble(v0, duration, p: CellParams, n, master_seed, *,
+def erase_ensemble(v0, duration, n, master_seed, *,
                    worker_count=1, stream_offset=0):
     """Bath heat of n independent erases from v0 (see erase), as an array.
 
     v0 must pass _check_heat_range, and n the draw budget, before any block runs.
     """
     _check_erase_args(v0, duration)
-    _check_heat_range(float(v0), p, n)
+    _check_heat_range(float(v0), n)
     oracles.check_budget(n, 1)
     (z,) = run_blocks(partial(_erase_block, duration=duration), n, BLOCK, master_seed,
                       worker_count=worker_count, stream_offset=stream_offset)
     v0 = np.full(n, float(v0))
-    return _bath_heat(p.capacitance, v0, _erased(v0, duration, p, z))
+    return _bath_heat(v0, _erased(v0, duration, z))
 
 
-def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, worker_count=1):
+def run_erasure_experiment(u0, durations, n, master_seed, *, worker_count=1):
     """Latch random bits at +-u0 on n cells, erase for each duration, read, and tally.
 
     Returns one ErasureReport per duration.  The durations must be finite,
@@ -347,7 +348,7 @@ def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, work
     durations = [float(d) for d in durations]
     if not (math.isfinite(u0) and u0 > 0.0):
         raise ValueError(f"u0 must be positive, got {u0!r}")
-    _check_heat_range(u0, p, n)
+    _check_heat_range(u0, n)
     if not durations:
         raise ValueError("the duration grid is empty")
     if not all(0.0 <= d < math.inf for d in durations):
@@ -361,8 +362,8 @@ def run_erasure_experiment(u0, durations, p: CellParams, n, master_seed, *, work
                              worker_count=worker_count, stream_offset=d_idx * -(-n // BLOCK))
         # A write ends snapped to +-u0 and the OU erase is Markov: only that level matters.
         target = np.where(bits == 1, u0, -u0)
-        v_final = _erased(target, duration, p, z)
-        q = _bath_heat(p.capacitance, target, v_final)
+        v_final = _erased(target, duration, z)
+        q = _bath_heat(target, v_final)
         channel = estimate_error_prob(bits, (v_final >= 0.0).astype(bits.dtype))
         reports.append(ErasureReport(
             duration=duration,

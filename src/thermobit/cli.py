@@ -16,9 +16,9 @@ success, 2 usage error, 3 config validation error, 4 runtime or
 infeasibility error.
 
 Each subcommand takes only the options its runner reads; `--n`,
-`--master-seed` and `--workers` belong to the simulating ones, which run
-in reduced units (kT = 1; the capacitor's C = 1 and tau = 1, so its
-inputs are in sigma_st or tau and its columns in kT or tau).
+`--master-seed` and `--workers` belong to the simulating ones.  Inputs and
+columns are in the library's units (kT, and the capacitor's sigma =
+sqrt(kT/C) and tau = RC), so they pass through unscaled.
 """
 
 import argparse
@@ -37,7 +37,6 @@ from . import capacitor as cap_mod
 from . import doublewell as dw_mod
 from . import infotheory as info_mod
 from .ensemble import EnsembleWorkerError, standard_error
-from .ou import CellParams
 from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
 
 __all__ = ["main"]
@@ -70,10 +69,6 @@ _RUN_OPTS = [
     ("workers", int, 1, "worker process count; the blocks are split evenly by count "
                         "into one contiguous share per worker"),
 ]
-
-# Every capacitor run is in reduced units, so u0 in sigma_st and times in
-# tau pass to the library unscaled, and its heats come back in kT.
-_CELL = CellParams.reduced()
 
 # The write's voltmeter sampling step; erase and mi-curve walk no write and
 # have none.  Any step leaves the write's heat exact, since the write snaps to
@@ -126,7 +121,7 @@ def _resolve_opts(args, file_cfg, opts):
 # column order, and extras the summary's keys that are not columns ---
 
 def _run_capacitor_write(o):
-    q, steps, control = cap_mod.write_ensemble(o["bit"], o["u0_sigma"], _CELL, o["dt_tau"],
+    q, steps, control = cap_mod.write_ensemble(o["bit"], o["u0_sigma"], o["dt_tau"],
                                                o["n"], o["master_seed"], worker_count=o["workers"])
     row = {"bit": o["bit"], "u0_sigma": o["u0_sigma"], "n": o["n"],
            "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": float(standard_error(q)),
@@ -140,9 +135,9 @@ def _run_capacitor_write(o):
 def _run_capacitor_erase(o):
     # First, so that a negative u0 (a valid start, but not a written level)
     # is refused before anything runs.
-    theory = cap_mod.erase_dissipation_theory(o["u0_sigma"], o["duration_tau"], _CELL)
-    q = cap_mod.erase_ensemble(o["u0_sigma"], o["duration_tau"], _CELL, o["n"],
-                               o["master_seed"], worker_count=o["workers"])
+    theory = cap_mod.erase_dissipation_theory(o["u0_sigma"], o["duration_tau"])
+    q = cap_mod.erase_ensemble(o["u0_sigma"], o["duration_tau"], o["n"], o["master_seed"],
+                               worker_count=o["workers"])
     row = {"u0_sigma": o["u0_sigma"], "duration_tau": o["duration_tau"], "n": o["n"],
            "mean_Q_env_kT": float(q.mean()), "se_Q_env_kT": float(standard_error(q)),
            "theory_Q_env_kT": theory}
@@ -150,13 +145,13 @@ def _run_capacitor_erase(o):
 
 
 def _run_capacitor_mi_curve(o):
-    reports = cap_mod.run_erasure_experiment(o["u0_sigma"], o["durations_tau"], _CELL, o["n"],
+    reports = cap_mod.run_erasure_experiment(o["u0_sigma"], o["durations_tau"], o["n"],
                                              o["master_seed"], worker_count=o["workers"])
     rows = [{"duration_tau": rep.duration, "p_e_hat": rep.channel.p_e_hat,
              "ci_low": rep.channel.ci_low, "ci_high": rep.channel.ci_high,
              "info_bits": rep.info_bits, "mean_Q_env_kT": rep.mean_Q_env,
              "se_Q_env_kT": rep.se_Q_env} for rep in reports]
-    theory = cap_mod.erase_dissipation_theory(o["u0_sigma"], reports[-1].duration, _CELL)
+    theory = cap_mod.erase_dissipation_theory(o["u0_sigma"], reports[-1].duration)
     return "capacitor_mi_curve", rows, {"n_durations": len(rows),
                                         "final_info_bits": rows[-1]["info_bits"],
                                         "theory_Q_env_kT": theory}
@@ -317,7 +312,9 @@ _VALUE_FLAGS = {"--config", "--output-dir"} | {
 _KEYWORDS = {"workers": ("worker_count",), "n": ("n", "n_traj"),
              "barrier-kt": ("barrier_kT",), "t-hot": ("T_hot", "temperature"),
              "dt-tau": ("dt",), "u0-sigma": ("u0",), "duration-tau": ("duration", "t"),
-             "durations-tau": ("durations",)}
+             "durations-tau": ("durations",), "p-e": ("p_e", "p"), "temperature-K": ("T",),
+             "delta-s-bits": ("delta_S_bits",), "ambient-K": ("ambient_temperature",),
+             "latent-heat": ("latent_heat_fusion",)}
 
 
 def _flag_names(message, opts):

@@ -28,8 +28,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import oracles
+from .bounds import _check_positive
 from .ensemble import run_blocks, standard_error
-from .ou import _check_positive
 
 __all__ = ["RelaxationSeries", "EscapeInfeasibleError", "max_stable_dt", "relax_ensemble",
            "heated_erase", "measure_escape_time", "BLOCK"]
@@ -259,17 +259,20 @@ def measure_escape_time(barrier_kT, n_traj, dt, seed, *, worker_count=1):
     A trajectory's expected steps are the exact mean first-passage time
     (oracles.escape_mfpt) over dt.  The retention time grows like
     exp(E/kT), so a high barrier's run is refused past the draw budget
-    before any block; a trajectory that has not escaped after oracles.CAP
-    times its expected steps raises EscapeInfeasibleError.
+    before any block.  A trajectory still in its well after oracles.CAP
+    times the mean from the far edge (U = 60 kT) raises EscapeInfeasibleError.
+    That mean bounds the mean from every point a walk reaches, so Markov's
+    inequality, applied once per two such means, leaves a correct walk at
+    most a 2^-50 chance of reaching the cap.
     """
     bound = max_stable_dt(barrier_kT)  # refuses a bad barrier before the oracle reads it
-    mfpt = oracles.escape_mfpt(barrier_kT)
-    max_steps = math.ceil(oracles.CAP * _em_steps(bound, n_traj, mfpt, dt))
+    _em_steps(bound, n_traj, oracles.escape_mfpt(barrier_kT), dt)
+    max_steps = math.ceil(oracles.CAP * oracles.escape_mfpt(barrier_kT, math.inf) / dt)
     task = partial(_escape_block, barrier_kT=barrier_kT, dt=dt, max_steps=max_steps)
     (steps,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     stuck = np.count_nonzero(steps < 0)
     if stuck:
         raise EscapeInfeasibleError(f"{stuck} of {n_traj} trajectories did not escape within "
-                                    f"{max_steps} steps, {oracles.CAP}x the expected")
+                                    f"{max_steps} steps, {oracles.CAP}x the mean from the far edge")
     t = steps * dt
     return float(t.mean()), float(standard_error(t))

@@ -39,10 +39,10 @@ def _xlog2x(x):
     return 0.0 if x == 0.0 else x * math.log2(x)
 
 
-def _probability(p):
+def _probability(p, name):
     p = float(p)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     return p
 
 
@@ -52,7 +52,7 @@ def bit_information(p_e):
     Evaluates 1 + p_e*log2(p_e) + (1-p_e)*log2(1-p_e), with the p*log p
     limits at 0 and 1 handled explicitly.
     """
-    p_e = _probability(p_e)
+    p_e = _probability(p_e, "p_e")
     return 1.0 + _xlog2x(p_e) + _xlog2x(1.0 - p_e)
 
 
@@ -62,7 +62,7 @@ def binary_entropy(p):
     min(p, 1 - p) enters through log1p, so h2 stays within 2 ulp down to p = 1e-300;
     1 - bit_information(p) keeps only about 8 significant digits at p = 1e-9.
     """
-    p = _probability(p)
+    p = _probability(p, "p")
     q = min(p, 1.0 - p)
     return -_xlog2x(q) - (1.0 - q) * math.log1p(-q) / math.log(2.0)
 

@@ -35,18 +35,23 @@ def _trapezoid(f, x):
     return np.diff(x) * (f[1:] + f[:-1]) / 2.0
 
 
-def escape_mfpt(barrier_kT):
-    """Mean first-passage time of the double well from +x0 to 0, in gamma*x0^2/kT.
+@lru_cache(maxsize=64)  # about 1 ms a call
+def escape_mfpt(barrier_kT, start=1.0):
+    """Mean first-passage time of the double well from +start (in x0) to 0, in gamma*x0^2/kT.
 
-    T = int_0^1 e^{U(y)} int_y^inf e^{-U(z)} dz dy, U(x) = E (x^2 - 1)^2 in kT
-    (Gardiner, Handbook of Stochastic Methods), by the trapezoid rule with
-    the inner limit cut where U = 60 kT; inf past float range (E > 700 kT).
+    T = int_0^start e^{U(y)} int_y^inf e^{-U(z)} dz dy, U(x) = E (x^2 - 1)^2
+    in kT (Gardiner, Handbook of Stochastic Methods), by the trapezoid rule with
+    the inner limit cut where U = U(start) + 60 kT; a start past the far edge,
+    where U = 60 kT, counts as the edge.  inf past float range (E > 700 kT).
     """
-    y = np.linspace(0.0, 1.0, 20_001)
-    z = np.linspace(1.0, math.sqrt(1.0 + math.sqrt(60.0 / barrier_kT)), 20_001)
+    start = min(start, math.sqrt(1.0 + math.sqrt(60.0 / barrier_kT)))
+    y = np.linspace(0.0, start, 20_001)
+    z = np.linspace(start, math.sqrt(1.0 + math.sqrt(60.0 / barrier_kT
+                                                     + (start * start - 1.0) ** 2)), 20_001)
     u_y, u_z = (barrier_kT * (x * x - 1.0) ** 2 for x in (y, z))
-    inner = np.concatenate(([0.0], np.cumsum(_trapezoid(np.exp(-u_y), y))))
-    tail = inner[-1] - inner + np.sum(_trapezoid(np.exp(-u_z), z))
+    # Summed from the start inward, so that a tail far below its total keeps its digits.
+    tail = np.append(np.cumsum(_trapezoid(np.exp(-u_y), y)[::-1])[::-1], 0.0)
+    tail += np.sum(_trapezoid(np.exp(-u_z), z))
     with np.errstate(over="ignore"):
         return float(np.sum(_trapezoid(np.exp(u_y) * tail, y)))
 

@@ -25,7 +25,7 @@ from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_block, _era
 from .doublewell import BLOCK, max_stable_dt, measure_escape_time, relax_ensemble
 from .ensemble import run_blocks, standard_error
 from .infotheory import binary_entropy, bit_information
-from .ou import CellParams, ou_sample_stationary, ou_step
+from .ou import ou_step
 from .streams import make_stream
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -40,26 +40,22 @@ class CriterionResult:
 
 
 def check_equipartition(master_seed):
-    """Stationary variance equals kT/C within 1.5% at n = 1e5."""
-    cell = CellParams.reduced()
+    """Stationary variance equals kT/C (1 sigma^2) within 1.5% at n = 1e5."""
     n = 100_000
-    stat = ou_sample_stationary(cell, make_stream(master_seed, 0), size=n)
-    relaxed = ou_step(np.full(n, cell.sigma_st), 20.0 * cell.tau, cell,
-                      make_stream(master_seed, 1))
-    target = cell.kT / cell.capacitance
-    errs = [abs(stat.var() / target - 1.0), abs(relaxed.var() / target - 1.0)]
+    stat = make_stream(master_seed, 0).standard_normal(n)
+    relaxed = ou_step(np.ones(n), 20.0, make_stream(master_seed, 1))
+    errs = [abs(stat.var() - 1.0), abs(relaxed.var() - 1.0)]
     ok = max(errs) < 0.015
     return ok, f"relative variance errors {errs[0]:.4f}, {errs[1]:.4f} (tol 0.015)"
 
 
 def check_erase_dissipation(master_seed):
-    """Mean 20-tau erase heat matches (C*u0^2 - kT)/2 within 3 SE for u0 in {s/2, s, 2s}."""
-    cell = CellParams.reduced()
+    """Mean 20-tau erase heat matches (u0^2 - 1)/2 kT within 3 SE for u0 in {1/2, 1, 2} sigma."""
     n = 100_000
     details, ok = [], True
     for k, u0 in enumerate((0.5, 1.0, 2.0)):
-        q = erase_ensemble(u0, 20.0 * cell.tau, cell, n, master_seed, stream_offset=k * n)
-        theory = erase_dissipation_theory(u0, 20.0 * cell.tau, cell)
+        q = erase_ensemble(u0, 20.0, n, master_seed, stream_offset=k * n)
+        theory = erase_dissipation_theory(u0, 20.0)
         se = standard_error(q)
         dev = abs(q.mean() - theory)
         ok &= dev <= 3.0 * se
@@ -68,18 +64,16 @@ def check_erase_dissipation(master_seed):
 
 
 def check_write_positivity(master_seed):
-    """Write heat is +(kT - C*u0^2)/2 on average; control cost >= kT ln2 always."""
-    cell = CellParams.reduced()
+    """Write heat is +(1 - u0^2)/2 kT on average; control cost >= kT ln2 always."""
     n = 100_000
     u0 = 0.5
     # Blocks from 3 * n, after criterion 2's (0, n, 2n): at offset 0 the
     # stationary start takes the normals of criterion 2's u0 = 0.5 erase.
-    q, _, control = write_ensemble(1, u0, cell, 0.01 * cell.tau, n, master_seed,
-                                   stream_offset=3 * n)
-    theory = 0.5 * (cell.kT - cell.capacitance * u0 * u0)
+    q, _, control = write_ensemble(1, u0, 0.01, n, master_seed, stream_offset=3 * n)
+    theory = 0.5 * (1.0 - u0 * u0)
     se = standard_error(q)
     dev = abs(q.mean() - theory)
-    floor = cell.kT * math.log(2.0)
+    floor = math.log(2.0)
     ok = dev <= 3.0 * se and np.all(control >= floor - 1e-15) and np.all(control > 0)
     return ok, (f"mean={q.mean():+.4f} theory={theory:+.4f} ({dev / se:.2f} SE); "
                 f"min control cost {control.min():.4f} kT (floor {floor:.4f})")
@@ -87,10 +81,8 @@ def check_write_positivity(master_seed):
 
 def check_incomplete_erasure(master_seed):
     """Read-error and remaining information after partial erase at u0 = sigma."""
-    cell = CellParams.reduced()
-    short, full = run_erasure_experiment(1.0, (cell.tau, 20.0 * cell.tau), cell, 100_000,
-                                         master_seed)
-    pe_theory = partial_erase_error_prob(1.0, cell.tau, cell)
+    short, full = run_erasure_experiment(1.0, (1.0, 20.0), 100_000, master_seed)
+    pe_theory = partial_erase_error_prob(1.0, 1.0)
     info_theory = bit_information(pe_theory)
     in_ci = short.channel.ci_low <= pe_theory <= short.channel.ci_high
     info_dev = abs(short.info_bits - info_theory)
@@ -226,15 +218,13 @@ def check_determinism(master_seed):
 
 def _ledger_block(stream, rows, max_steps):
     """Each row's worst |Q_env + dE_cap| over a write, then an erase, of a random bit."""
-    cell = CellParams.reduced()
     u0, duration = 0.1 + 1.1 * stream.uniform(), 3.0 * stream.uniform()
-    v_start, target, _, _ = _write_rows(stream.integers(0, 2, size=rows), u0, cell, 0.01, stream,
+    v_start, target, _, _ = _write_rows(stream.integers(0, 2, size=rows), u0, 0.01, stream,
                                         max_steps)
-    v_final = _erased(target, duration, cell, *_erase_block(stream, rows, duration))
-    c = cell.capacitance
-    e_start, e_target, e_final = (0.5 * c * v * v for v in (v_start, target, v_final))
-    write = _bath_heat(c, v_start, target) + (e_target - e_start)
-    erase = _bath_heat(c, target, v_final) + (e_final - e_target)
+    v_final = _erased(target, duration, *_erase_block(stream, rows, duration))
+    e_start, e_target, e_final = (0.5 * v * v for v in (v_start, target, v_final))
+    write = _bath_heat(v_start, target) + (e_target - e_start)
+    erase = _bath_heat(target, v_final) + (e_final - e_target)
     return (np.maximum(np.abs(write), np.abs(erase)),)
 
 
@@ -244,13 +234,13 @@ def check_ledger_identity(master_seed):
     Runs the kernels behind every capacitor CSV, in blocks from stream
     1,000,000 (clear of criteria 1-4); each block draws one u0 in
     [0.1, 1.2) sigma and one erase duration in [0, 3) tau.  The identity
-    holds by construction in IEEE arithmetic: _bath_heat(c, a, b) is
+    holds by construction in IEEE arithmetic: _bath_heat(a, b) is
     E(a) - E(b) and the check adds E(b) - E(a), its exact negative.  So it
     pins the paper's per-trajectory ledger claim, not the dynamics.  The
     writes' step cap is that of the highest level, which bounds the rest.
     """
     n = 100_000
-    task = partial(_ledger_block, max_steps=_write_cap(1.2, CellParams.reduced(), 0.01, n))
+    task = partial(_ledger_block, max_steps=_write_cap(1.2, 0.01, n))
     (worst,) = run_blocks(task, n, CAPACITOR_BLOCK, master_seed, stream_offset=1_000_000)
     worst = float(worst.max())
     return worst == 0.0, f"max |Q_env + dE_cap| = {worst:.3e} over {n} write/erase pairs"

@@ -16,6 +16,29 @@ from thermobit import oracles, verification
 
 MASTER_SEED = 12345
 
+# Each criterion's detail at MASTER_SEED.  A change that keeps the numbers
+# (a refactor, a change of units) must print these strings unchanged.
+DETAILS = {
+    "1 equipartition": "relative variance errors 0.0032, 0.0026 (tol 0.015)",
+    "2 erase dissipation": "u0=0.5: mean=-0.3721 theory=-0.3750 (1.33 SE); "
+                           "u0=1.0: mean=-0.0053 theory=+0.0000 (2.33 SE); "
+                           "u0=2.0: mean=+1.4984 theory=+1.5000 (0.72 SE)",
+    "3 write positivity": "mean=+0.3747 theory=+0.3750 (0.14 SE); "
+                          "min control cost 0.6931 kT (floor 0.6931)",
+    "4 incomplete erasure info": "p_e CI [0.3413, 0.3472] vs theory 0.3462 (in); "
+                                 "info dev 0.0018 bits (tol 0.01); "
+                                 "info(20 tau) = 1.18e-05 bits (tol 1e-3)",
+    "5 passive double-well erasure": "terminal p1 = 0.5023 (tol 0.5 +- 0.02); "
+                                     "max |mean_U(t) - mean_U(0)| = 0.0356 kT (tol 0.05)",
+    "6 Kramers scaling": "T(3kT)=4.646, T(2kT)=2.516, ratio 1.8466 +- 0.0454 vs quadrature "
+                         "1.8377 (+0.19 SE, tol 3); e = 2.718 for reference",
+    "7 ice-cube violation": "Q = 7.385e+23 kT (oracle 7.385e+23, rel err 0.00e+00); "
+                            "order 1e23.9; violation factor 1.07e+24",
+    "8 exact formulas": "worst relative error 0.00e+00 over 7 identities",
+    "9 determinism": "all subcommands byte-identical for workers 1/4/8",
+    "10 ledger identity": "max |Q_env + dE_cap| = 0.000e+00 over 100000 write/erase pairs",
+}
+
 
 @pytest.mark.parametrize("name", [name for name, _fn in verification.CRITERIA])
 def test_criterion(name):
@@ -23,6 +46,7 @@ def test_criterion(name):
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.name}: {status} [{result.elapsed:.1f}s] {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+    assert result.detail == DETAILS[name]
 
 
 @pytest.mark.parametrize("barrier, expected", [(2.0, 2.30327), (3.0, 4.23278)])

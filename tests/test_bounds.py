@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from thermobit.bounds import (BoundComparison, IceCubeModel, NoErasureError,
+from thermobit.bounds import (BOLTZMANN, BoundComparison, IceCubeModel, NoErasureError,
                               anderson_bound, brillouin_min_dissipation,
                               ice_cube_erasure_energy)
-from thermobit.ou import BOLTZMANN
 
 LN2 = math.log(2.0)
 

@@ -233,9 +233,35 @@ class TestExitCodes:
         # relax has no --t-hot: its walk runs at the ambient temperature 1.
         (["doublewell", "relax", "--barrier-kt", "1e308"], "no Euler-Maruyama step is stable "
          "at --barrier-kt=1e+308 and temperature=1.0: the bound is 0.0"),
-    ], ids=["workers", "master-seed", "t-hot", "barrier-kt", "t-hot-overflow", "relax-overflow"])
+        # The level is in sigma, as the flag says.
+        (["capacitor", "erase", "--u0-sigma", "1e200"],
+         "--u0-sigma = 1e+200 overflows the heat statistics of 100 erases"),
+        (["capacitor", "mi-curve", "--u0-sigma", "1e200"],
+         "--u0-sigma = 1e+200 overflows the heat statistics of 100 erases"),
+        (["bounds", "brillouin", "--temperature-K", "-1"],
+         "--temperature-K must be positive and finite, with BOLTZMANN*T above 0, got -1.0"),
+        (["bounds", "brillouin", "--temperature-K", "1e-320"],
+         "--temperature-K must be positive and finite, with BOLTZMANN*T above 0, got 1e-320"),
+        (["bounds", "anderson", "--delta-s-bits", "-1"],
+         "--delta-s-bits must be finite and non-negative, got -1.0"),
+        (["bounds", "anderson", "--delta-s-bits", "1e308", "--temperature-K", "1e300"],
+         "--delta-s-bits=1e+308, --temperature-K=1e+300 give a non-finite bound"),
+        (["bounds", "icecube", "--ambient-K", "-5"],
+         "--ambient-K must be positive and finite, got -5.0"),
+        (["bounds", "icecube", "--latent-heat", "0"],
+         "--latent-heat must be positive and finite, got 0.0"),
+        (["bounds", "icecube", "--volume-cm3", "1e308"],
+         "--volume-cm3=1e+308, --ambient-K=300.0, --ice-density=0.917, --latent-heat=333.55 "
+         "give a non-finite cooling"),
+        (["info", "eval", "--p-e", "1.5"], "--p-e must lie in [0, 1], got 1.5"),
+    ], ids=["workers", "master-seed", "t-hot", "barrier-kt", "t-hot-overflow", "relax-overflow",
+            "erase-heat-range", "mi-curve-heat-range", "brillouin-T", "brillouin-kT",
+            "anderson-delta-s", "anderson-overflow", "icecube-ambient", "icecube-latent-heat",
+            "icecube-overflow", "info-p-e"])
     def test_refusal_names_the_flag(self, tmp_path, run_cli, argv, message):
-        code, _, err = run_cli(argv + ["--n", "100", "--output-dir", str(tmp_path)])
+        if argv[0] in ("capacitor", "doublewell"):
+            argv = argv + ["--n", "100"]
+        code, _, err = run_cli(argv + ["--output-dir", str(tmp_path)])
         assert code == 3
         assert err == f"thermobit: config error: {message}\n"
 

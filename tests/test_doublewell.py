@@ -321,6 +321,26 @@ class TestEscapeTime:
         with pytest.raises(ValueError, match="above the budget"):
             measure_escape_time(12.0, 10 ** 4, dt, seed=0)
 
+    def test_cap_is_from_the_far_edge_and_budget_from_plus_one(self, monkeypatch):
+        # At 1e-7 kT a walk from +1 escapes in 50.5 on average, but one that
+        # drifts out to the edge (U = 60 kT) takes 1787: CAP times the
+        # former stranded 2 of 2000 trajectories.
+        seen = {}
+
+        def run_blocks(task, n, block, seed, worker_count=1):
+            seen.update(task.keywords)
+            return (np.ones(n, dtype=np.int64),)
+
+        monkeypatch.setattr(doublewell, "run_blocks", run_blocks)
+        dt = 0.5 * max_stable_dt(1e-7)
+        measure_escape_time(1e-7, 2000, dt, seed=0)
+        assert seen["max_steps"] == math.ceil(oracles.CAP * oracles.escape_mfpt(1e-7, math.inf)
+                                              / dt)
+        assert oracles.escape_mfpt(1e-7, math.inf) > 30 * oracles.escape_mfpt(1e-7)
+        # The budget still charges the mean from +1: 10**5 rows expect 8.6e8
+        # draws from there, and would expect 3.0e10 from the edge.
+        measure_escape_time(1e-7, 10 ** 5, dt, seed=0)
+
 
 class TestHeatedErase:
     def test_equal_temperature_degenerates_to_relax(self):

@@ -40,6 +40,30 @@ def test_write_mfpt_reproduces_the_simulated_means():
         assert abs(oracles.write_mfpt(u0, 0.01) - mean) < 3.0 * se
 
 
+def nested_escape_mfpt(barrier_kT, start):
+    """T = int_0^start e^{U(y)} int_y^inf e^{-U(z)} dz dy by nested quad (Gardiner)."""
+    def u(x):
+        return barrier_kT * (x * x - 1.0) ** 2
+
+    def tail(y):
+        return quad(lambda z: math.exp(-u(z)), y, math.inf, epsabs=0.0, epsrel=1e-11,
+                    limit=200)[0]
+
+    return quad(lambda y: math.exp(u(y)) * tail(y), 0.0, start, epsabs=0.0, epsrel=1e-10,
+                limit=200)[0]
+
+
+@pytest.mark.parametrize("barrier", [1e-3, 2.0])
+def test_escape_mfpt_from_the_far_edge_matches_nested_quad(barrier):
+    # From the far edge, where U = 60 kT: 18.2648 at 1e-3 kT against 4.71
+    # from +1, and 2.39287 at 2 kT against 2.30327.  A start past the edge
+    # counts as the edge.
+    edge = math.sqrt(1.0 + math.sqrt(60.0 / barrier))
+    expected = nested_escape_mfpt(barrier, edge)
+    assert oracles.escape_mfpt(barrier, edge) == pytest.approx(expected, rel=1e-5)
+    assert oracles.escape_mfpt(barrier, math.inf) == oracles.escape_mfpt(barrier, edge)
+
+
 def test_oracles_past_float_range_are_inf_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
