@@ -18,7 +18,10 @@ number of workers.  A block walks its rows through one Euler-Maruyama
 kernel, _em_chunks, that draws _CHUNK steps of noise at a time into one
 reused buffer: its working set is _CHUNK*rows*8 bytes plus its output,
 however many steps it walks, and its draws are those of one draw of the
-whole walk.
+whole walk.  relax and heated report expectations at fixed times, which
+need only weak convergence, so their steps take a random sign as noise
+(the simplified weak Euler scheme, weak order 1 like Gaussian EM); escape,
+a first-passage time, keeps Gaussian normals (see _em_chunks).
 """
 
 import math
@@ -122,18 +125,29 @@ def _sample_rows(barrier_kT, side, rng, rows):
     return out
 
 
-def _em_chunks(x, n_steps, barrier_kT, dt, temperature, rng, buf):
+def _em_chunks(x, n_steps, barrier_kT, dt, temperature, noise, buf):
     """Walk x in place through n_steps Euler-Maruyama steps, _CHUNK at a time.
 
     Yields (step, path) per chunk: row k of path is the state after step
     step + k + 1, and x already holds the state after the chunk's last
     step.  path is a view of the flat buffer buf (at least _CHUNK*x.size
     floats; a block passes one to all its walks), which the next chunk's
-    noise overwrites, so a caller copies what it keeps.  numpy fills a
-    C-contiguous array in order, so the chunks' standard_normal draws
-    equal one (n_steps, x.size) draw.  Each step x <- x - U'(x)*dt + amp*z,
-    computed as x*(1 + k1 - k1*x^2) + amp*z with k1 = 4*E*dt, overwrites
-    its noise row in place.
+    noise overwrites, so a caller copies what it keeps.  Each step
+    x <- x - U'(x)*dt + amp*z, computed as x*(1 + k1 - k1*x^2) + amp*z with
+    k1 = 4*E*dt, overwrites its noise row in place.
+
+    noise(shape, out) fills out with the z of a chunk: a stream's
+    standard_normal, or its signs.  Both fill a C-contiguous array in order
+    and every full chunk takes whole 32-bit words, so the chunks draw what
+    one (n_steps, x.size) draw would.  Signs keep EM's weak order 1
+    (Kloeden and Platen 1992, sec. 14.1; Milstein and Tretyakov 2004) for
+    expectations at fixed times, at a tenth of a normal's cost.  A first
+    passage is a path functional instead: how far a walk overshoots x = 0
+    between samples depends on the increment law, so signs move its
+    discrete-monitoring bias (n = 2e5, +-0.24%: at 2 kT from +9.2% to
+    +8.3% of the exact mean, at 3 kT from +9.0% to +10.3%, a +2% shift of
+    criterion 6's ratio), and a Brownian-bridge crossing correction
+    assumes Gaussian increments.  escape keeps normals.
     """
     k1 = 4.0 * barrier_kT * dt
     amp = math.sqrt(2.0 * temperature * dt)
@@ -141,7 +155,7 @@ def _em_chunks(x, n_steps, barrier_kT, dt, temperature, rng, buf):
     for step in range(0, n_steps, _CHUNK):
         width = min(_CHUNK, n_steps - step)
         path = buf[:width * x.size].reshape(width, x.size)
-        rng.standard_normal(path.shape, out=path)
+        noise(path.shape, out=path)
         path *= amp
         prev = x
         for row in path:
@@ -159,13 +173,13 @@ def _relax_block(stream, rows, barrier_kT, side, dt, temperature, record):
     """1-tuple of the states at step 0 and at each step of `record`, shape (1 + len(record), rows).
 
     Rows start from the ambient conditional equilibrium of `side` and
-    evolve at `temperature` up to step record[-1].
+    evolve at `temperature` up to step record[-1], with sign noise.
     """
     out = np.empty((1 + record.size, rows))
     out[0] = _sample_rows(barrier_kT, side, stream, rows)
     x = out[0].copy()
     done = 0  # records stored so far
-    for step, path in _em_chunks(x, int(record[-1]), barrier_kT, dt, temperature, stream,
+    for step, path in _em_chunks(x, int(record[-1]), barrier_kT, dt, temperature, stream.signs,
                                  np.empty(_CHUNK * rows)):
         upto = np.searchsorted(record, step + len(path), side="right")
         out[1 + done:1 + upto] = path[record[done:upto] - step - 1]
@@ -176,7 +190,8 @@ def _relax_block(stream, rows, barrier_kT, side, dt, temperature, record):
 def _escape_block(stream, rows, barrier_kT, dt, max_steps):
     """1-tuple of each row's first step at x <= 0 from +1; -1 if none within max_steps.
 
-    Rows that have crossed drop out at the end of each round.
+    Rows walk with Gaussian noise, and those that have crossed drop out at
+    the end of each round.
     """
     steps = np.full(rows, -1, dtype=np.int64)
     active = np.arange(rows)
@@ -186,7 +201,8 @@ def _escape_block(stream, rows, barrier_kT, dt, max_steps):
     while active.size and walked < max_steps:
         width = min(_ROUND, max_steps - walked)
         first = np.zeros(active.size, dtype=np.int64)  # step in the round at x <= 0; 0 if none
-        for step, path in _em_chunks(x, width, barrier_kT, dt, 1.0, stream, buf):
+        for step, path in _em_chunks(x, width, barrier_kT, dt, 1.0, stream.standard_normal,
+                                     buf):
             crossed = path <= 0.0
             new = crossed.any(axis=0) & (first == 0)
             first[new] = step + crossed[:, new].argmax(axis=0) + 1

@@ -23,6 +23,11 @@ __all__ = [
 # Two-sided 95% standard-normal quantile.
 _Z95 = 1.959963984540054
 
+# Below this |1/2 - p_e| bit_information sums a series, not 1 + p log p + ...
+# An mi-curve's p_e_hat = k/n lies at 1/(2n) from 1/2 or more unless it is
+# 1/2, so no curve at n < 5000 takes the series' path.
+_SERIES_BELOW = 1e-4
+
 
 @dataclass(frozen=True)
 class BitChannelStats:
@@ -46,13 +51,29 @@ def _probability(p, name):
     return p
 
 
+def _information_near_half(d):
+    """1 - h2(1/2 - d) = sum_k (2d)^(2k) / (2 ln 2 k (2k - 1)), to three terms.
+
+    For |d| < _SERIES_BELOW the third term is about 1e-16 of the sum and the
+    fourth below 6e-17, half an ulp.
+    """
+    s = 4.0 * d * d
+    return s * (1.0 + s / 6.0 + s * s / 15.0) / (2.0 * math.log(2.0))
+
+
 def bit_information(p_e):
     """Maximum retrievable information (bits) of one bit read with error p_e.
 
     Evaluates 1 + p_e*log2(p_e) + (1-p_e)*log2(1-p_e), with the p*log p
-    limits at 0 and 1 handled explicitly.
+    limits at 0 and 1 handled explicitly.  Near p_e = 1/2 that sum cancels
+    to rounding noise (1.1e-16 for 2.9e-18 at 1/2 - 1e-9), so within
+    _SERIES_BELOW of 1/2 it takes the series in d = 1/2 - p_e, exact in
+    the float d and symmetric in p_e <-> 1 - p_e.
     """
     p_e = _probability(p_e, "p_e")
+    d = 0.5 - p_e
+    if abs(d) < _SERIES_BELOW:
+        return _information_near_half(d)
     return 1.0 + _xlog2x(p_e) + _xlog2x(1.0 - p_e)
 
 

@@ -15,7 +15,9 @@ __all__ = ["DRAW_BUDGET", "MIN_ROWS", "CAP", "check_budget", "escape_mfpt", "wri
 
 DRAW_BUDGET = 10 ** 10  # expected draws of one ensemble: 200-400 s at 20-40 ns a draw
 # A step of a per-step kernel costs its block about 2.4 us whatever its rows:
-# 128 rows at 19 ns a row-step (numpy 2.4, 2-core x86-64).
+# 128 rows at 19 ns a row-step with a normal draw (numpy 2.4, 2-core x86-64).
+# A row-step of relax or heated, whose noise is a sign, costs about 5-7 ns,
+# so the budget is conservative for them.
 MIN_ROWS = 128
 CAP = 100  # an in-run cap stops a walk at CAP times its expected steps
 # -zeta(1/2)/sqrt(2 pi): sampling every dt shifts a level by _BETA times the

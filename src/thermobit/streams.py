@@ -10,6 +10,12 @@ Streams are backed by numpy's Philox counter-based bit generator with
 the 128-bit key set to master_seed << 64 | stream_index.  numpy fills an
 array in C order, so draws into consecutive arrays (standard_normal's
 `out`, a buffer refilled in place) equal one draw of their concatenation.
+
+`signs` gives the double well's fixed-time walks their noise: random
+signs, 32 from each 32-bit Philox word, at about a tenth of a normal's
+cost.  A draw keeps no spare bits across calls, so draws of whole
+words (a multiple of 32 signs, as every full 32-step chunk of the walk
+is) also equal one draw of their concatenation.
 """
 
 from dataclasses import dataclass, field
@@ -73,6 +79,19 @@ class RngStream:
     def standard_normal(self, size=None, out=None):
         """Normals of shape `size`, or written into `out` (C-contiguous float64 of that shape)."""
         return self._gen.standard_normal(size, out=out)
+
+    def signs(self, size, out=None):
+        """Independent +-1.0 of equal odds, of shape `size`, or written into `out` (float64).
+
+        One bit each, from integers(0, 2, dtype=bool), which unpacks 32
+        from each 32-bit word and drops a draw's unused bits.
+        """
+        bits = self._gen.integers(0, 2, size, dtype=bool)
+        if out is None:
+            out = np.empty(bits.shape)
+        np.multiply(bits, 2.0, out=out)
+        out -= 1.0
+        return out
 
     def uniform(self, size=None):
         return self._gen.random(size)

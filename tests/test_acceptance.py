@@ -28,8 +28,8 @@ DETAILS = {
     "4 incomplete erasure info": "p_e CI [0.3413, 0.3472] vs theory 0.3462 (in); "
                                  "info dev 0.0018 bits (tol 0.01); "
                                  "info(20 tau) = 1.18e-05 bits (tol 1e-3)",
-    "5 passive double-well erasure": "terminal p1 = 0.5023 (tol 0.5 +- 0.02); "
-                                     "max |mean_U(t) - mean_U(0)| = 0.0356 kT (tol 0.05)",
+    "5 passive double-well erasure": "terminal p1 = 0.5084 (tol 0.5 +- 0.02); "
+                                     "max |mean_U(t) - mean_U(0)| = 0.0341 kT (tol 0.05)",
     "6 Kramers scaling": "T(3kT)=4.646, T(2kT)=2.516, ratio 1.8466 +- 0.0454 vs quadrature "
                          "1.8377 (+0.19 SE, tol 3); e = 2.718 for reference",
     "7 ice-cube violation": "Q = 7.385e+23 kT (oracle 7.385e+23, rel err 0.00e+00); "

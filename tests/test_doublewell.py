@@ -84,11 +84,11 @@ def scalar_em_path(barrier, x, z, dt, temperature=1.0):
     return path
 
 
-def em_walk(x, n_steps, barrier, dt, rng, temperature=1.0):
+def em_walk(x, n_steps, barrier, dt, noise, temperature=1.0):
     """Drain doublewell._em_chunks: walk x in place; return the path, copied chunk by chunk."""
     buf = np.empty(doublewell._CHUNK * x.size)
     return np.concatenate([path.copy() for _, path in doublewell._em_chunks(
-        x, n_steps, barrier, dt, temperature, rng, buf)])
+        x, n_steps, barrier, dt, temperature, noise, buf)])
 
 
 class KickStream:
@@ -118,7 +118,7 @@ class TestEmStep:
         amp = math.sqrt(2.0 * dt)
         x0 = np.array([0.0, 1.0, -1.0])
         z = make_stream(30, 0).standard_normal((1, 3))
-        got = em_walk(x0.copy(), 1, 2.0, dt, make_stream(30, 0))
+        got = em_walk(x0.copy(), 1, 2.0, dt, make_stream(30, 0).standard_normal)
         np.testing.assert_allclose(got[0], x0 + amp * z[0], rtol=1e-14, atol=1e-14)
 
     def test_rejects_unstable_dt(self):
@@ -128,14 +128,16 @@ class TestEmStep:
             with pytest.raises(ValueError):
                 measure_escape_time(2.0, 10, dt, seed=0)
 
-    def test_long_run_matches_boltzmann(self):
+    @pytest.mark.parametrize("noise", ["standard_normal", "signs"])
+    def test_long_run_matches_boltzmann(self, noise):
         # Stationarity oracle: evolve an equilibrium ensemble and compare the
         # empirical CDF of the final states against Boltzmann quadrature
-        # (sup-norm tolerance 0.05 for n = 2000, KS 95% is ~0.030).
+        # (sup-norm tolerance 0.05 for n = 2000, KS 95% is ~0.030), with
+        # escape's normals and with the signs of relax and heated.
         dt = 0.5 * max_stable_dt(2.0)
         rng = make_stream(31, 0)
         x = np.concatenate([doublewell._sample_rows(2.0, side, rng, 1000) for side in (0, 1)])
-        em_walk(x, 1000, 2.0, dt, rng)
+        em_walk(x, 1000, 2.0, dt, getattr(rng, noise))
         xs = np.linspace(-2.0, 2.0, 41)
         theory = boltzmann_cdf_grid(2.0, xs)
         empirical = np.array([(x <= xi).mean() for xi in xs])
@@ -148,7 +150,7 @@ class TestEmStep:
         x = np.array([1.0, -1.0, 0.5])
         buf = np.empty(doublewell._CHUNK * x.size)
         for _, path in doublewell._em_chunks(x, 3 * doublewell._CHUNK, 2.0, dt, 1.0,
-                                             make_stream(33, 0), buf):
+                                             make_stream(33, 0).standard_normal, buf):
             assert not np.shares_memory(x, buf)
             np.testing.assert_array_equal(x, path[-1])
 
@@ -157,6 +159,7 @@ class TestBlockKernels:
     def test_relax_block_matches_scalar_loop(self):
         # 700 steps are 21 chunks and 28 steps; the record adds the last
         # step of a chunk (32, 512) and the first of the next (33, 513).
+        # The block's chunks draw the signs of one (n_steps, rows) draw.
         dt = 0.5 * max_stable_dt(2.0)
         rows, n_steps = 5, 700
         assert n_steps % doublewell._CHUNK
@@ -165,7 +168,7 @@ class TestBlockKernels:
 
         rng = make_stream(50, 0)
         x0 = doublewell._sample_rows(2.0, 1, rng, rows)
-        want = scalar_em_path(2.0, x0, rng.standard_normal((n_steps, rows)), dt, temperature=3.0)
+        want = scalar_em_path(2.0, x0, rng.signs((n_steps, rows)), dt, temperature=3.0)
         assert got.shape == (1 + record.size, rows)
         np.testing.assert_array_equal(got[0], x0)
         np.testing.assert_allclose(got[1:], want[record - 1], rtol=1e-12)
@@ -344,11 +347,13 @@ class TestEscapeTime:
 
 class TestHeatedErase:
     def test_equal_temperature_degenerates_to_relax(self):
+        # Byte for byte, over more than one block.
         dt = 0.5 * max_stable_dt(3.0)
-        series, mean_du, _ = heated_erase(3.0, 1.0, 3.0, dt, 500, seed=41)
-        plain = relax_ensemble(3.0, 1, 3.0, dt, 500, seed=41)
-        np.testing.assert_array_equal(series.p1, plain.p1)
-        np.testing.assert_array_equal(series.mean_U, plain.mean_U)
+        series, mean_du, _ = heated_erase(3.0, 1.0, 3.0, dt, BLOCK + 500, seed=41)
+        plain = relax_ensemble(3.0, 1, 3.0, dt, BLOCK + 500, seed=41)
+        for name in ("times", "p1", "se_p1", "mean_U", "se_U"):
+            assert getattr(series, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert mean_du == pytest.approx(plain.mean_U[-1] - plain.mean_U[0], rel=1e-9)
 
     def test_hot_bath_injects_energy(self):
         dt = 0.5 * max_stable_dt(4.0)

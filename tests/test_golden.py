@@ -27,9 +27,9 @@ GOLDEN = [
                             "--durations-tau", "0,0.02,3"],
      "fb5bc5f4b9e701bd154d34215affe3ac3e568e9c89587cd248f9c27b7b7b7f92"),
     ("doublewell_relax", ["doublewell", "relax", "--n", "4097"],
-     "853a83c6044c181d7c9fd36fb25a836d02981512f73dea3e22efa8e8ede4cc40"),
+     "896fca7225ce69b47e87e1380246b5d0d0769a0dd1755c22e05d419ff0ba26b6"),
     ("doublewell_heated", ["doublewell", "heated", "--t-total", "0.5", "--n", "4097"],
-     "805f3afb7d6a46bfe89ffebb2478da9136ce134a93e695db99a775650155c6ce"),
+     "e5a55ce0aae3d60f2d05666093b65b39544e0b4bd2301ea82b7e91e786dce103"),
     ("doublewell_escape", ["doublewell", "escape", "--n", "4097"],
      "c38f1a664db6bc27e4d748befd90e866e2c7d81084aff9fe1b6a41a211ac7261"),
 ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermobit import infotheory
 from thermobit.infotheory import (binary_entropy, bit_information, estimate_error_prob,
                                   wilson_interval)
 from thermobit.streams import make_stream
@@ -39,6 +40,28 @@ class TestBitInformation:
         i = bit_information(p)
         assert 0.0 <= i <= 1.0
         assert i == pytest.approx(bit_information(1.0 - p), abs=1e-12)
+
+    @pytest.mark.parametrize("p, exact", [(0.499999999, 2.8853902389117702613e-18),
+                                          (0.5 - 0.9999e-4, 2.8848130518433812355e-8)])
+    def test_near_half_to_twelve_digits(self, p, exact):
+        # 1 - h2 at the float p, by mpmath at 50 digits.  At 0.499999999 the
+        # direct sum returns 1.1e-16; near the switch the series' second term
+        # moves the value by 7e-9 of itself.
+        assert bit_information(p) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.5, 0.5 + 1e-300, 0.500000001, 0.5 + 3e-5, 0.5 + 0.9999e-4])
+    def test_symmetric_about_half(self, q):
+        # 1 - q is exact for q in [1/2, 1], and then 1/2 - p is -(1/2 - q) exactly.
+        assert bit_information(1.0 - q) == bit_information(q)
+
+    @pytest.mark.parametrize("d", [-infotheory._SERIES_BELOW, infotheory._SERIES_BELOW])
+    def test_series_meets_the_direct_sum(self, d):
+        p = 0.5 - d
+        direct = 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
+        assert abs(infotheory._information_near_half(d) - direct) < 1e-15
+        # Across the switch the value moves by no more than its slope allows.
+        inside = bit_information(math.nextafter(p, 0.5))
+        assert 0.0 <= bit_information(p) - inside < 1e-15
 
     def test_strictly_decreasing_on_left_half(self):
         grid = np.linspace(0.0, 0.5, 201)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from thermobit.doublewell import _CHUNK
 from thermobit.streams import make_stream
 
 
@@ -32,16 +35,32 @@ def test_output_independent_of_consumption_pattern():
     np.testing.assert_array_equal(one_shot, np.concatenate(parts))
 
 
-def test_draws_into_a_reused_buffer_equal_one_draw():
-    # The double well's walk refills one buffer, the last chunk through a
-    # shorter view of it, and must draw what one (steps, rows) draw would.
-    one_shot = make_stream(42, 8).standard_normal((70, 3))
-    stream, buf, parts = make_stream(42, 8), np.empty(32 * 3), []
-    for start in range(0, 70, 32):
-        chunk = buf[:min(32, 70 - start) * 3].reshape(-1, 3)
-        assert stream.standard_normal(chunk.shape, out=chunk) is chunk
+@pytest.mark.parametrize("rows", [1, 5, 2048])
+@pytest.mark.parametrize("kind", ["standard_normal", "signs"])
+def test_draws_into_a_reused_buffer_equal_one_draw(kind, rows):
+    # The double well's walk refills one buffer, _CHUNK steps at a time and
+    # the last chunk through a shorter view of it, and must draw what one
+    # (steps, rows) draw would.  A sign draw drops its last word's unused
+    # bits, so every full chunk must take whole 32-bit words.
+    steps = 2 * _CHUNK + 6
+    assert _CHUNK * rows % 32 == 0
+    one_shot = getattr(make_stream(42, 8), kind)((steps, rows))
+    stream, buf, parts = make_stream(42, 8), np.empty(_CHUNK * rows), []
+    for start in range(0, steps, _CHUNK):
+        chunk = buf[:min(_CHUNK, steps - start) * rows].reshape(-1, rows)
+        assert getattr(stream, kind)(chunk.shape, out=chunk) is chunk
         parts.append(chunk.copy())
     np.testing.assert_array_equal(one_shot, np.concatenate(parts))
+
+
+def test_signs_are_fair_unit_signs():
+    n = 10 ** 6
+    z = make_stream(42, 9).signs(n)
+    assert z.dtype == np.float64 and z.shape == (n,)
+    assert np.all(np.abs(z) == 1.0)
+    # Mean 0 and variance 1 - mean^2, each within 5 SE (1/sqrt(n) for the mean).
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 25.0 / n
 
 
 @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
@@ -55,6 +74,8 @@ def draw(kind, stream):
         return stream.standard_normal(6).tolist()
     if kind == "uniform":
         return stream.uniform(6).tolist()
+    if kind == "signs":
+        return stream.signs(67).tolist()
     return stream.integers(0, 2, size=67).tolist()
 
 
@@ -68,7 +89,7 @@ USES = {
 }
 
 
-@pytest.mark.parametrize("kind", ["normal", "uniform", "integers"])
+@pytest.mark.parametrize("kind", ["normal", "uniform", "integers", "signs"])
 @pytest.mark.parametrize("use", list(USES))
 @pytest.mark.parametrize("seed, index", [(0, 0), (2**64 - 1, 2**64 - 1), (5, 2**64 - 1)])
 def test_rekeyed_stream_draws_what_a_fresh_stream_draws(seed, index, use, kind):
