@@ -18,13 +18,18 @@ number of workers.  A block walks its rows through one Euler-Maruyama
 kernel, _em_chunks, that draws _CHUNK steps of noise at a time into one
 reused buffer: its working set is _CHUNK*rows*8 bytes plus its output,
 however many steps it walks, and its draws are those of one draw of the
-whole walk.  relax and heated report expectations at fixed times, which
-need only weak convergence, so their steps take a random sign as noise
-(the simplified weak Euler scheme, weak order 1 like Gaussian EM); escape,
-a first-passage time, keeps Gaussian normals (see _em_chunks).
+whole walk.  The kernel walks the scaled coordinate y = sqrt(k1)*x,
+k1 = 4*E*dt, in which a step is four array passes and the noise arrives
+scaled; relax and heated store x = y/sqrt(k1), and escape tests y <= 0.
+relax and heated report expectations at fixed times, which need only
+weak convergence, so their steps take a random sign as noise (the
+simplified weak Euler scheme, weak order 1 like Gaussian EM); escape, a
+first-passage time, keeps Gaussian normals (see _em_chunks), and its
+crossed rows leave the block after each chunk.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -44,10 +49,6 @@ BLOCK = 2048
 # EM steps per noise draw into a block's one reused (_CHUNK, rows) buffer.
 _CHUNK = 32
 
-# Escape steps between drop-outs: rows that have crossed leave a block
-# only at the end of each round.
-_ROUND = 512
-
 
 class EscapeInfeasibleError(RuntimeError):
     """A trajectory did not escape within the run's step cap (see measure_escape_time)."""
@@ -58,9 +59,14 @@ def max_stable_dt(barrier_kT, temperature=1.0):
 
     A tenth of 1/(8*max(E, T)): U'' = 8E at the minima, and a walk hotter
     than its barrier spreads to |x| ~ (T/E)^(1/4), where U'' ~ 12*sqrt(E*T)
-    is of order 8T or less.
+    is of order 8T or less.  A barrier at which 60/E overflows is refused
+    too: there the points the escape oracle and the sampling table reach
+    out to, where U = 60 kT and 40 kT, lie past float range.
     """
     _check_positive(barrier_kT=barrier_kT, temperature=temperature)
+    if not math.isfinite(60.0 / barrier_kT):
+        raise ValueError(f"barrier_kT must be at least {60.0 / sys.float_info.max:.3g}, where "
+                         f"the well's edge at 60 kT lies in float range, got {barrier_kT!r}")
     bound = 0.1 / (8.0 * max(barrier_kT, temperature))
     if not 0.0 < bound < math.inf:  # 8*max(E, T) overflows, or its inverse does
         raise ValueError(f"no Euler-Maruyama step is stable at barrier_kT={barrier_kT!r} and "
@@ -125,47 +131,68 @@ def _sample_rows(barrier_kT, side, rng, rows):
     return out
 
 
-def _em_chunks(x, n_steps, barrier_kT, dt, temperature, noise, buf):
-    """Walk x in place through n_steps Euler-Maruyama steps, _CHUNK at a time.
+def _walk_constants(barrier_kT, dt, temperature):
+    """A walk's step constant k1 = 4*E*dt, sqrt(k1) = y/x and noise scale sqrt(k1)*amp.
 
-    Yields (step, path) per chunk: row k of path is the state after step
-    step + k + 1, and x already holds the state after the chunk's last
-    step.  path is a view of the flat buffer buf (at least _CHUNK*x.size
-    floats; a block passes one to all its walks), which the next chunk's
-    noise overwrites, so a caller copies what it keeps.  Each step
-    x <- x - U'(x)*dt + amp*z, computed as x*(1 + k1 - k1*x^2) + amp*z with
-    k1 = 4*E*dt, overwrites its noise row in place.
-
-    noise(shape, out) fills out with the z of a chunk: a stream's
-    standard_normal, or its signs.  Both fill a C-contiguous array in order
-    and every full chunk takes whole 32-bit words, so the chunks draw what
-    one (n_steps, x.size) draw would.  Signs keep EM's weak order 1
-    (Kloeden and Platen 1992, sec. 14.1; Milstein and Tretyakov 2004) for
-    expectations at fixed times, at a tenth of a normal's cost.  A first
-    passage is a path functional instead: how far a walk overshoots x = 0
-    between samples depends on the increment law, so signs move its
-    discrete-monitoring bias (n = 2e5, +-0.24%: at 2 kT from +9.2% to
-    +8.3% of the exact mean, at 3 kT from +9.0% to +10.3%, a +2% shift of
-    criterion 6's ratio), and a Brownian-bridge crossing correction
-    assumes Gaussian increments.  escape keeps normals.
+    amp = sqrt(2*T*dt).  Refused where k1 or the noise scale is zero or
+    subnormal: a walk in y would then stand still or lose digits.
     """
     k1 = 4.0 * barrier_kT * dt
-    amp = math.sqrt(2.0 * temperature * dt)
-    factor = np.empty(x.size)
+    root = math.sqrt(k1)
+    scale = root * math.sqrt(2.0 * temperature * dt)
+    if not min(k1, scale) >= sys.float_info.min:
+        raise ValueError(f"barrier_kT={barrier_kT!r}, dt={dt!r} and temperature={temperature!r} "
+                         f"give k1 = 4*E*dt of {k1!r} and a noise scale sqrt(k1)*amp "
+                         f"of {scale!r}; both must be normal floats")
+    return k1, root, scale
+
+
+def _normals(stream, scale, shape, out):
+    """Fill out (of shape `shape`) with scale times the stream's standard normals."""
+    stream.standard_normal(shape, out=out)
+    out *= scale
+
+
+def _em_chunks(y, n_steps, k1, noise, buf):
+    """Walk y in place through n_steps Euler-Maruyama steps, _CHUNK at a time.
+
+    Yields (step, path) per chunk: row k of path is the state after step
+    step + k + 1, and y already holds the state after the chunk's last
+    step.  path is a view of the flat buffer buf (at least _CHUNK*y.size
+    floats; a block passes one to all its walks), which the next chunk's
+    noise overwrites, so a caller copies what it keeps.  y = sqrt(k1)*x
+    with k1 = 4*E*dt, so that the step x <- x - U'(x)*dt + amp*z, or
+    x*(1 + k1 - k1*x^2) + amp*z, reads y <- y*(1 + k1 - y^2) + sqrt(k1)*amp*z:
+    four array passes, each step overwriting its noise row in place.
+
+    noise(shape, out) fills out with the chunk's increments sqrt(k1)*amp*z,
+    already scaled: a stream's signs, or its normals through _normals.
+    Both fill a C-contiguous array in order and every full chunk takes
+    whole 32-bit words, so the chunks draw what one (n_steps, y.size) draw
+    would.  Signs keep EM's weak order 1 (Kloeden and Platen 1992,
+    sec. 14.1; Milstein and Tretyakov 2004) for expectations at fixed
+    times, at a tenth of a normal's cost.  A first passage is a path
+    functional instead: how far a walk overshoots x = 0 between samples
+    depends on the increment law, so signs move its discrete-monitoring
+    bias (n = 2e5, +-0.24%: at 2 kT from +9.2% to +8.3% of the exact mean,
+    at 3 kT from +9.0% to +10.3%, a +2% shift of criterion 6's ratio), and
+    a Brownian-bridge crossing correction assumes Gaussian increments.
+    escape keeps normals.
+    """
+    growth = 1.0 + k1
+    factor = np.empty(y.size)
     for step in range(0, n_steps, _CHUNK):
         width = min(_CHUNK, n_steps - step)
-        path = buf[:width * x.size].reshape(width, x.size)
+        path = buf[:width * y.size].reshape(width, y.size)
         noise(path.shape, out=path)
-        path *= amp
-        prev = x
-        for row in path:
-            np.multiply(prev, prev, out=factor)
-            factor *= -k1
-            factor += 1.0 + k1
-            factor *= prev
-            row += factor
+        prev = y
+        for row in path:  # out passed by position: a keyword costs each call about 0.1 us
+            np.multiply(prev, prev, factor)
+            np.subtract(growth, factor, factor)
+            np.multiply(factor, prev, factor)
+            np.add(row, factor, row)
             prev = row
-        x[...] = prev  # a copy: the next chunk's draw overwrites path
+        y[...] = prev  # a copy: the next chunk's draw overwrites path
         yield step, path
 
 
@@ -175,14 +202,15 @@ def _relax_block(stream, rows, barrier_kT, side, dt, temperature, record):
     Rows start from the ambient conditional equilibrium of `side` and
     evolve at `temperature` up to step record[-1], with sign noise.
     """
+    k1, root, scale = _walk_constants(barrier_kT, dt, temperature)
     out = np.empty((1 + record.size, rows))
     out[0] = _sample_rows(barrier_kT, side, stream, rows)
-    x = out[0].copy()
+    y = out[0] * root
     done = 0  # records stored so far
-    for step, path in _em_chunks(x, int(record[-1]), barrier_kT, dt, temperature, stream.signs,
+    for step, path in _em_chunks(y, int(record[-1]), k1, partial(stream.signs, scale=scale),
                                  np.empty(_CHUNK * rows)):
         upto = np.searchsorted(record, step + len(path), side="right")
-        out[1 + done:1 + upto] = path[record[done:upto] - step - 1]
+        np.divide(path[record[done:upto] - step - 1], root, out=out[1 + done:1 + upto])
         done = upto
     return (out,)
 
@@ -190,26 +218,25 @@ def _relax_block(stream, rows, barrier_kT, side, dt, temperature, record):
 def _escape_block(stream, rows, barrier_kT, dt, max_steps):
     """1-tuple of each row's first step at x <= 0 from +1; -1 if none within max_steps.
 
-    Rows walk with Gaussian noise, and those that have crossed drop out at
-    the end of each round.
+    Rows walk with Gaussian noise, and those that have crossed drop out
+    after each chunk.
     """
+    k1, root, scale = _walk_constants(barrier_kT, dt, 1.0)
+    noise = partial(_normals, stream, scale)
     steps = np.full(rows, -1, dtype=np.int64)
     active = np.arange(rows)
-    x = np.full(rows, 1.0)
+    y = np.full(rows, root)
     buf = np.empty(_CHUNK * rows)
-    walked = 0
-    while active.size and walked < max_steps:
-        width = min(_ROUND, max_steps - walked)
-        first = np.zeros(active.size, dtype=np.int64)  # step in the round at x <= 0; 0 if none
-        for step, path in _em_chunks(x, width, barrier_kT, dt, 1.0, stream.standard_normal,
-                                     buf):
-            crossed = path <= 0.0
-            new = crossed.any(axis=0) & (first == 0)
-            first[new] = step + crossed[:, new].argmax(axis=0) + 1
-        hit = first > 0
-        steps[active[hit]] = walked + first[hit]
-        walked += width
-        active, x = active[~hit], x[~hit]
+    for walked in range(0, max_steps, _CHUNK):
+        if not active.size:
+            break
+        # One chunk per walk, so that the rows it saw cross leave before the next.
+        ((_, path),) = _em_chunks(y, min(_CHUNK, max_steps - walked), k1, noise, buf)
+        crossed = path <= 0.0
+        hit = crossed.any(axis=0)
+        if hit.any():
+            steps[active[hit]] = walked + crossed[:, hit].argmax(axis=0) + 1
+            active, y = active[~hit], y[~hit]
     return (steps,)
 
 
@@ -231,6 +258,7 @@ def _relax(barrier_kT, side, t_total, dt, n_traj, seed, temperature, worker_coun
 
     # The step must be stable at the temperature the walk runs at.
     n_steps = math.ceil(_em_steps(max_stable_dt(barrier_kT, temperature), n_traj, t_total, dt))
+    _walk_constants(barrier_kT, dt, temperature)
     record = _log_step_grid(n_steps)
     task = partial(_relax_block, barrier_kT=barrier_kT, side=side, dt=dt,
                    temperature=temperature, record=record)
@@ -283,6 +311,7 @@ def measure_escape_time(barrier_kT, n_traj, dt, seed, *, worker_count=1):
     """
     bound = max_stable_dt(barrier_kT)  # refuses a bad barrier before the oracle reads it
     _em_steps(bound, n_traj, oracles.escape_mfpt(barrier_kT), dt)
+    _walk_constants(barrier_kT, dt, 1.0)
     max_steps = math.ceil(oracles.CAP * oracles.escape_mfpt(barrier_kT, math.inf) / dt)
     task = partial(_escape_block, barrier_kT=barrier_kT, dt=dt, max_steps=max_steps)
     (steps,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)

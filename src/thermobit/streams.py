@@ -12,10 +12,10 @@ array in C order, so draws into consecutive arrays (standard_normal's
 `out`, a buffer refilled in place) equal one draw of their concatenation.
 
 `signs` gives the double well's fixed-time walks their noise: random
-signs, 32 from each 32-bit Philox word, at about a tenth of a normal's
-cost.  A draw keeps no spare bits across calls, so draws of whole
-words (a multiple of 32 signs, as every full 32-step chunk of the walk
-is) also equal one draw of their concatenation.
+signs of a given scale, 32 unpacked from each 32-bit Philox word, at
+about a tenth of a normal's cost.  A draw keeps no spare bits across
+calls, so draws of whole words (a multiple of 32 signs, as every full
+32-step chunk of the walk is) also equal one draw of their concatenation.
 """
 
 from dataclasses import dataclass, field
@@ -80,17 +80,21 @@ class RngStream:
         """Normals of shape `size`, or written into `out` (C-contiguous float64 of that shape)."""
         return self._gen.standard_normal(size, out=out)
 
-    def signs(self, size, out=None):
-        """Independent +-1.0 of equal odds, of shape `size`, or written into `out` (float64).
+    def signs(self, size, out=None, scale=1.0):
+        """Independent +-scale of equal odds, of shape `size`, or written into `out` (float64).
 
-        One bit each, from integers(0, 2, dtype=bool), which unpacks 32
-        from each 32-bit word and drops a draw's unused bits.
+        One bit each, unpacked LSB first from ceil(count/32) words of
+        integers(0, 2**32, dtype=uint32), one next_uint32 a word: bit for bit
+        what integers(0, 2, dtype=bool) draws, without its per-bit loop.
+        A draw's unused bits are dropped.
         """
-        bits = self._gen.integers(0, 2, size, dtype=bool)
         if out is None:
-            out = np.empty(bits.shape)
-        np.multiply(bits, 2.0, out=out)
-        out -= 1.0
+            out = np.empty(size)
+        words = self._gen.integers(0, 2 ** 32, -(-out.size // 32), dtype=np.uint32)
+        bits = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8), count=out.size,
+                             bitorder="little")
+        np.multiply(bits.reshape(out.shape), 2.0 * scale, out=out)
+        out -= scale
         return out
 
     def uniform(self, size=None):

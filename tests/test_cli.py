@@ -233,6 +233,14 @@ class TestExitCodes:
         # relax has no --t-hot: its walk runs at the ambient temperature 1.
         (["doublewell", "relax", "--barrier-kt", "1e308"], "no Euler-Maruyama step is stable "
          "at --barrier-kt=1e+308 and temperature=1.0: the bound is 0.0"),
+        # Below 60/DBL_MAX the well's far edge (U = 60 kT) lies past float range.
+        *[(["doublewell", sub, "--barrier-kt", "1e-308"], "--barrier-kt must be at least "
+           "3.34e-307, where the well's edge at 60 kT lies in float range, got 1e-308")
+          for sub in ("relax", "heated", "escape")],
+        # k1 = 4*E*dt underflows, within the draw budget.
+        (["doublewell", "relax", "--barrier-kt", "1e-300", "--t-total", "1e-302", "--dt",
+          "1e-309"], "--barrier-kt=1e-300, --dt=1e-309 and temperature=1.0 give k1 = 4*E*dt of "
+         "0.0 and a noise scale sqrt(k1)*amp of 0.0; both must be normal floats"),
         # The level is in sigma, as the flag says.
         (["capacitor", "erase", "--u0-sigma", "1e200"],
          "--u0-sigma = 1e+200 overflows the heat statistics of 100 erases"),
@@ -255,6 +263,7 @@ class TestExitCodes:
          "give a non-finite cooling"),
         (["info", "eval", "--p-e", "1.5"], "--p-e must lie in [0, 1], got 1.5"),
     ], ids=["workers", "master-seed", "t-hot", "barrier-kt", "t-hot-overflow", "relax-overflow",
+            "relax-tiny-barrier", "heated-tiny-barrier", "escape-tiny-barrier", "relax-k1-underflow",
             "erase-heat-range", "mi-curve-heat-range", "brillouin-T", "brillouin-kT",
             "anderson-delta-s", "anderson-overflow", "icecube-ambient", "icecube-latent-heat",
             "icecube-overflow", "info-p-e"])
@@ -385,6 +394,10 @@ def test_every_declared_option_is_read(name):
 @pytest.mark.parametrize("argv", [
     ["relax", "--barrier-kt", "0.001", "--n", "2000"],
     ["relax", "--barrier-kt", "1e-300", "--n", "100"],
+    ["relax", "--barrier-kt", "1e-308", "--n", "100"],  # hung: nan sampling table
+    ["heated", "--barrier-kt", "1e-308", "--t-total", "0.1"],
+    ["escape", "--barrier-kt", "1e-308"],
+    ["relax", "--barrier-kt", "1e-300", "--t-total", "1e-302", "--dt", "1e-309", "--n", "100"],
     ["heated", "--t-hot", "4000"],  # past the draw budget at the stable step
     ["heated", "--t-hot", "4000", "--n", "100", "--t-total", "0.01"],
     ["heated", "--t-hot", "1e308"],

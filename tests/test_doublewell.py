@@ -61,6 +61,33 @@ class TestParams:
         with pytest.raises(ValueError):
             max_stable_dt(0.0)
 
+    def test_rejects_a_barrier_whose_far_edge_overflows(self, no_stream):
+        # 60/E overflows below about 3.3e-307: the sampling table's span
+        # turned inf and its grid nan, and relax and heated never returned.
+        dt = 0.5 * max_stable_dt(1e-300)
+        for barrier in (1e-308, 3.3e-307, 5e-324):
+            with pytest.raises(ValueError, match="barrier_kT must be at least 3.34e-307"):
+                max_stable_dt(barrier)
+            with pytest.raises(ValueError, match="barrier_kT must be at least"):
+                relax_ensemble(barrier, 1, 1.0, dt, 100, seed=0)
+            with pytest.raises(ValueError, match="barrier_kT must be at least"):
+                heated_erase(barrier, 2.0, 1.0, dt, 100, seed=0)
+            with pytest.raises(ValueError, match="barrier_kT must be at least"):
+                measure_escape_time(barrier, 100, dt, seed=0)
+        assert max_stable_dt(3.34e-307) == max_stable_dt(1.0)
+
+    def test_rejects_an_underflowing_step_constant(self, no_stream):
+        # k1 = 4*E*dt underflows to 0 at E = 1e-300 and dt = 1e-309, where
+        # the walk in y = sqrt(k1)*x would stand still; the run passes the
+        # draw budget (1e7 steps of 100 rows).  A noise scale sqrt(8*E*T)*dt
+        # that is subnormal while k1 is normal is refused too.
+        with pytest.raises(ValueError, match=r"dt=1e-309 .* k1 = 4\*E\*dt of 0.0"):
+            relax_ensemble(1e-300, 1, 1e-302, 1e-309, 100, seed=0)
+        with pytest.raises(ValueError, match="both must be normal floats"):
+            heated_erase(1e-300, 2.0, 1e-302, 1e-309, 100, seed=0)
+        with pytest.raises(ValueError, match="both must be normal floats"):
+            doublewell._walk_constants(1e10, 1e-315, 1.0)
+
     def test_stable_dt_follows_kT_below_a_low_barrier(self):
         # Below E = kT the walk's thermal spread, not the minima, sets the curvature.
         assert max_stable_dt(1e-3) == max_stable_dt(1.0)
@@ -85,10 +112,15 @@ def scalar_em_path(barrier, x, z, dt, temperature=1.0):
 
 
 def em_walk(x, n_steps, barrier, dt, noise, temperature=1.0):
-    """Drain doublewell._em_chunks: walk x in place; return the path, copied chunk by chunk."""
+    """Drain doublewell._em_chunks from x; return the path in x, copied chunk by chunk.
+
+    noise(scale) is the walk's noise at its scale.
+    """
+    k1, root, scale = doublewell._walk_constants(barrier, dt, temperature)
     buf = np.empty(doublewell._CHUNK * x.size)
-    return np.concatenate([path.copy() for _, path in doublewell._em_chunks(
-        x, n_steps, barrier, dt, temperature, noise, buf)])
+    path = np.concatenate([path.copy() for _, path in doublewell._em_chunks(
+        x * root, n_steps, k1, noise(scale), buf)])
+    return path / root
 
 
 class KickStream:
@@ -112,14 +144,27 @@ class KickStream:
         return out
 
 
+def normals(stream, scale):
+    """The escape's noise: the stream's normals at a walk's scale."""
+    return partial(doublewell._normals, stream, scale)
+
+
+def signs(stream, scale):
+    """The noise of relax and heated: the stream's signs at a walk's scale."""
+    return partial(stream.signs, scale=scale)
+
+
 class TestEmStep:
     def test_drift_vanishes_at_stationary_points(self):
+        # In y = sqrt(k1)*x the stationary points are 0 and +-sqrt(k1).
         dt = 0.5 * max_stable_dt(2.0)
-        amp = math.sqrt(2.0 * dt)
-        x0 = np.array([0.0, 1.0, -1.0])
+        k1, root, scale = doublewell._walk_constants(2.0, dt, 1.0)
+        y0 = np.array([0.0, root, -root])
         z = make_stream(30, 0).standard_normal((1, 3))
-        got = em_walk(x0.copy(), 1, 2.0, dt, make_stream(30, 0).standard_normal)
-        np.testing.assert_allclose(got[0], x0 + amp * z[0], rtol=1e-14, atol=1e-14)
+        buf = np.empty(doublewell._CHUNK * 3)
+        ((_, got),) = doublewell._em_chunks(y0.copy(), 1, k1,
+                                            normals(make_stream(30, 0), scale), buf)
+        np.testing.assert_allclose(got[0], y0 + scale * z[0], rtol=1e-14, atol=1e-14 * root)
 
     def test_rejects_unstable_dt(self):
         for dt in (2.0 * max_stable_dt(2.0), 0.0):
@@ -128,7 +173,7 @@ class TestEmStep:
             with pytest.raises(ValueError):
                 measure_escape_time(2.0, 10, dt, seed=0)
 
-    @pytest.mark.parametrize("noise", ["standard_normal", "signs"])
+    @pytest.mark.parametrize("noise", [normals, signs], ids=["standard_normal", "signs"])
     def test_long_run_matches_boltzmann(self, noise):
         # Stationarity oracle: evolve an equilibrium ensemble and compare the
         # empirical CDF of the final states against Boltzmann quadrature
@@ -137,7 +182,7 @@ class TestEmStep:
         dt = 0.5 * max_stable_dt(2.0)
         rng = make_stream(31, 0)
         x = np.concatenate([doublewell._sample_rows(2.0, side, rng, 1000) for side in (0, 1)])
-        em_walk(x, 1000, 2.0, dt, getattr(rng, noise))
+        x = em_walk(x, 1000, 2.0, dt, partial(noise, rng))[-1]
         xs = np.linspace(-2.0, 2.0, 41)
         theory = boltzmann_cdf_grid(2.0, xs)
         empirical = np.array([(x <= xi).mean() for xi in xs])
@@ -147,12 +192,13 @@ class TestEmStep:
         # The next chunk's draw overwrites the buffer, so a state that
         # aliased it would start that chunk from fresh noise.
         dt = 0.5 * max_stable_dt(2.0)
-        x = np.array([1.0, -1.0, 0.5])
-        buf = np.empty(doublewell._CHUNK * x.size)
-        for _, path in doublewell._em_chunks(x, 3 * doublewell._CHUNK, 2.0, dt, 1.0,
-                                             make_stream(33, 0).standard_normal, buf):
-            assert not np.shares_memory(x, buf)
-            np.testing.assert_array_equal(x, path[-1])
+        k1, root, scale = doublewell._walk_constants(2.0, dt, 1.0)
+        y = root * np.array([1.0, -1.0, 0.5])
+        buf = np.empty(doublewell._CHUNK * y.size)
+        for _, path in doublewell._em_chunks(y, 3 * doublewell._CHUNK, k1,
+                                             signs(make_stream(33, 0), scale), buf):
+            assert not np.shares_memory(y, buf)
+            np.testing.assert_array_equal(y, path[-1])
 
 
 class TestBlockKernels:
@@ -174,33 +220,37 @@ class TestBlockKernels:
         np.testing.assert_allclose(got[1:], want[record - 1], rtol=1e-12)
 
     def test_escape_block_matches_scalar_loop(self):
-        # 700 steps are one round and 188 steps: rows that crossed in the
-        # round drop out, and the rest draw their own (188, rows) noise.
+        # 700 steps are 21 chunks and 28 steps.  Rows that crossed in a
+        # chunk drop out after it, and the rest draw their own (width, rows)
+        # normals for the next.
         dt = 0.5 * max_stable_dt(2.0)
-        rows, max_steps, width = 40, 700, doublewell._ROUND
+        rows, max_steps, c = 40, 700, doublewell._CHUNK
         (got,) = doublewell._escape_block(make_stream(51, 0), rows, 2.0, dt, max_steps)
 
         rng = make_stream(51, 0)
-        path = scalar_em_path(2.0, np.full(rows, 1.0), rng.standard_normal((width, rows)), dt)
-        crossed = path <= 0.0
-        first = crossed.any(axis=0)
-        want = np.where(first, crossed.argmax(axis=0) + 1, -1)
-        rest = np.flatnonzero(~first)
-        crossed = scalar_em_path(2.0, path[-1, rest], rng.standard_normal((max_steps - width,
-                                                                          rest.size)), dt) <= 0.0
-        want[rest] = np.where(crossed.any(axis=0), width + crossed.argmax(axis=0) + 1, -1)
+        want = np.full(rows, -1)
+        x, active = np.full(rows, 1.0), np.arange(rows)
+        for walked in range(0, max_steps, c):
+            path = scalar_em_path(2.0, x, rng.standard_normal((min(c, max_steps - walked),
+                                                               active.size)), dt)
+            crossed = path <= 0.0
+            hit = crossed.any(axis=0)
+            want[active[hit]] = walked + crossed[:, hit].argmax(axis=0) + 1
+            x, active = path[-1, ~hit], active[~hit]
         np.testing.assert_array_equal(got, want)
-        assert (want <= width).any() and (want > width).any() and (want < 0).any()
+        chunks = np.unique((want[want > 0] - 1) // c)
+        assert chunks.size > 3 and chunks[-1] > 5 and (want < 0).any()
 
-    def test_escape_steps_at_chunk_and_round_ends(self):
-        # Rows 0-3 cross at the last step of the first chunk, the last step
-        # of the round, the first of the next round and the walk's last
-        # step; row 4 never does.  Rows 2-4 are columns 0-2 after the round.
+    def test_escape_steps_at_chunk_and_walk_ends(self):
+        # Rows 0-3 cross at the last step of the first chunk, the first
+        # step of the second, the walk's last step and a step inside the
+        # third chunk; row 4 never does.  The third chunk's active rows are
+        # 2-4 and the last chunk's 2 and 4.
         dt = 0.5 * max_stable_dt(2.0)
-        c, width = doublewell._CHUNK, doublewell._ROUND
-        kicks = [(c, 0), (width, 1), (width + 1, 0), (width + 188, 1)]
-        (got,) = doublewell._escape_block(KickStream(kicks, dt), 5, 2.0, dt, width + 188)
-        np.testing.assert_array_equal(got, [c, width, width + 1, width + 188, -1])
+        c = doublewell._CHUNK
+        kicks = [(c, 0), (c + 1, 0), (2 * c + 5, 1), (3 * c + 7, 0)]
+        (got,) = doublewell._escape_block(KickStream(kicks, dt), 5, 2.0, dt, 3 * c + 7)
+        np.testing.assert_array_equal(got, [c, c + 1, 3 * c + 7, 2 * c + 5, -1])
 
     def test_block_working_set_is_bounded(self):
         # A 2048-row block holds its output (1.3 MB for the default relax's

@@ -27,11 +27,11 @@ GOLDEN = [
                             "--durations-tau", "0,0.02,3"],
      "fb5bc5f4b9e701bd154d34215affe3ac3e568e9c89587cd248f9c27b7b7b7f92"),
     ("doublewell_relax", ["doublewell", "relax", "--n", "4097"],
-     "896fca7225ce69b47e87e1380246b5d0d0769a0dd1755c22e05d419ff0ba26b6"),
+     "93cc3ad6779fb17fcd3412196323e48374b37060230570ad9e8227f7ad64f568"),
     ("doublewell_heated", ["doublewell", "heated", "--t-total", "0.5", "--n", "4097"],
-     "e5a55ce0aae3d60f2d05666093b65b39544e0b4bd2301ea82b7e91e786dce103"),
+     "38a62ccf0ab7809ea666a6a55683eb78078a7f6b22cab76d1ef09095073fd3c1"),
     ("doublewell_escape", ["doublewell", "escape", "--n", "4097"],
-     "c38f1a664db6bc27e4d748befd90e866e2c7d81084aff9fe1b6a41a211ac7261"),
+     "a55f556a376e1155c20050ead1db95e6c298eaec8244f5cf2ef83a2db732c691"),
 ]
 
 

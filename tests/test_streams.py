@@ -53,6 +53,28 @@ def test_draws_into_a_reused_buffer_equal_one_draw(kind, rows):
     np.testing.assert_array_equal(one_shot, np.concatenate(parts))
 
 
+@pytest.mark.parametrize("rows", [1, 5, 2048])
+def test_signs_are_the_bits_of_a_bool_draw(rows):
+    # The reference is numpy's own bool draw, which takes one 32-bit word
+    # per 32 bits, LSB first, and drops a call's unused bits.  A first call
+    # of 3 words leaves an odd count of 32-bit halves drawn; then come a
+    # walk's chunks, the last one partial, at a scale.
+    seed, index = 42, 10
+    want = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+    stream = make_stream(seed, index)
+    first = 3 * 32 - 7
+    np.testing.assert_array_equal(
+        stream.signs(first), np.where(want.integers(0, 2, first, dtype=bool), 1.0, -1.0))
+    steps = 2 * _CHUNK + 6
+    bits = want.integers(0, 2, (steps, rows), dtype=bool)
+    buf, parts = np.empty(_CHUNK * rows), []
+    for start in range(0, steps, _CHUNK):
+        chunk = buf[:min(_CHUNK, steps - start) * rows].reshape(-1, rows)
+        assert stream.signs(chunk.shape, out=chunk, scale=0.375) is chunk
+        parts.append(chunk.copy())
+    np.testing.assert_array_equal(np.concatenate(parts), np.where(bits, 0.375, -0.375))
+
+
 def test_signs_are_fair_unit_signs():
     n = 10 ** 6
     z = make_stream(42, 9).signs(n)
