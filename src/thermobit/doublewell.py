@@ -14,18 +14,28 @@ absorbed energy.
 Ensembles run through ensemble.run_blocks in blocks of BLOCK
 trajectories; block k draws from the stream make_stream(master_seed, k)
 whatever the worker count, so the results are byte-identical for any
-number of workers.  A block walks its rows through one Euler-Maruyama
-kernel, _em_chunks, that draws _CHUNK steps of noise at a time into one
-reused buffer: its working set is _CHUNK*rows*8 bytes plus its output,
-however many steps it walks, and its draws are those of one draw of the
-whole walk.  The kernel walks the scaled coordinate y = sqrt(k1)*x,
-k1 = 4*E*dt, in which a step is four array passes and the noise arrives
-scaled; relax and heated store x = y/sqrt(k1), and escape tests y <= 0.
+number of workers.  _walk checks a walk once, in the parent, and gives
+its step count and constants.  A block then draws _CHUNK steps of noise
+at a time into one reused buffer and walks them with one Euler-Maruyama
+step function, _em_walk: its working set is _CHUNK*rows*8 bytes plus its
+output, however many steps it walks.  The walk is in the scaled
+coordinate y = sqrt(k1)*x, k1 = 4*E*dt, in which a step is four array
+passes and the noise arrives scaled; relax and heated store
+x = y/sqrt(k1), and escape tests y <= 0, its crossed rows leaving the
+block after each chunk.
+
 relax and heated report expectations at fixed times, which need only
 weak convergence, so their steps take a random sign as noise (the
-simplified weak Euler scheme, weak order 1 like Gaussian EM); escape, a
-first-passage time, keeps Gaussian normals (see _em_chunks), and its
-crossed rows leave the block after each chunk.
+simplified weak Euler scheme, weak order 1 like Gaussian EM: Kloeden and
+Platen 1992, sec. 14.1; Milstein and Tretyakov 2004), at a tenth of a
+normal's cost.  A first passage is a path functional instead: how far a
+walk overshoots x = 0 between samples depends on the increment law, so
+signs move its discrete-monitoring bias (n = 2e5, +-0.24%: at 2 kT from
++9.2% to +8.3% of the exact mean, at 3 kT from +9.0% to +10.3%, a +2%
+shift of criterion 6's ratio), and a Brownian-bridge crossing correction
+assumes Gaussian increments.  escape keeps normals.  Both draws fill a
+C-contiguous chunk in order and every full chunk takes whole 32-bit
+words, so a block's chunks draw what one draw of its whole walk would.
 """
 
 import math
@@ -90,16 +100,6 @@ class RelaxationSeries:
     se_U: np.ndarray
 
 
-def _em_steps(bound, n_traj, t, dt):
-    """t/dt EM steps; refused for a dt above `bound`, or when n_traj runs pass the draw budget."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if dt > bound * (1 + 1e-12):
-        raise ValueError(f"dt={dt!r} exceeds the Euler-Maruyama stability bound {bound!r}")
-    oracles.check_budget(n_traj, t / dt, -(-n_traj // BLOCK))
-    return t / dt
-
-
 @lru_cache(maxsize=32)
 def _boltzmann_grid(barrier_kT):
     """Inverse-CDF table of the global Boltzmann law on a symmetric grid."""
@@ -131,12 +131,20 @@ def _sample_rows(barrier_kT, side, rng, rows):
     return out
 
 
-def _walk_constants(barrier_kT, dt, temperature):
-    """A walk's step constant k1 = 4*E*dt, sqrt(k1) = y/x and noise scale sqrt(k1)*amp.
+def _walk(barrier_kT, temperature, dt, n_traj, t):
+    """Steps of n_traj walks over time t, and (k1, sqrt(k1), noise scale sqrt(k1)*amp).
 
-    amp = sqrt(2*T*dt).  Refused where k1 or the noise scale is zero or
-    subnormal: a walk in y would then stand still or lose digits.
+    k1 = 4*E*dt and amp = sqrt(2*T*dt).  Refused for a dt that is not
+    positive or is above max_stable_dt, when the walks pass the draw
+    budget, or where k1 or the noise scale is zero or subnormal: a walk in
+    y would then stand still or lose digits.
     """
+    bound = max_stable_dt(barrier_kT, temperature)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if dt > bound * (1 + 1e-12):
+        raise ValueError(f"dt={dt!r} exceeds the Euler-Maruyama stability bound {bound!r}")
+    oracles.check_budget(n_traj, t / dt, -(-n_traj // BLOCK))
     k1 = 4.0 * barrier_kT * dt
     root = math.sqrt(k1)
     scale = root * math.sqrt(2.0 * temperature * dt)
@@ -144,85 +152,60 @@ def _walk_constants(barrier_kT, dt, temperature):
         raise ValueError(f"barrier_kT={barrier_kT!r}, dt={dt!r} and temperature={temperature!r} "
                          f"give k1 = 4*E*dt of {k1!r} and a noise scale sqrt(k1)*amp "
                          f"of {scale!r}; both must be normal floats")
-    return k1, root, scale
+    return math.ceil(t / dt), (k1, root, scale)
 
 
-def _normals(stream, scale, shape, out):
-    """Fill out (of shape `shape`) with scale times the stream's standard normals."""
-    stream.standard_normal(shape, out=out)
-    out *= scale
+def _em_walk(y, path, k1):
+    """Walk y in place through one chunk of drawn increments sqrt(k1)*amp*z.
 
-
-def _em_chunks(y, n_steps, k1, noise, buf):
-    """Walk y in place through n_steps Euler-Maruyama steps, _CHUNK at a time.
-
-    Yields (step, path) per chunk: row k of path is the state after step
-    step + k + 1, and y already holds the state after the chunk's last
-    step.  path is a view of the flat buffer buf (at least _CHUNK*y.size
-    floats; a block passes one to all its walks), which the next chunk's
-    noise overwrites, so a caller copies what it keeps.  y = sqrt(k1)*x
-    with k1 = 4*E*dt, so that the step x <- x - U'(x)*dt + amp*z, or
-    x*(1 + k1 - k1*x^2) + amp*z, reads y <- y*(1 + k1 - y^2) + sqrt(k1)*amp*z:
-    four array passes, each step overwriting its noise row in place.
-
-    noise(shape, out) fills out with the chunk's increments sqrt(k1)*amp*z,
-    already scaled: a stream's signs, or its normals through _normals.
-    Both fill a C-contiguous array in order and every full chunk takes
-    whole 32-bit words, so the chunks draw what one (n_steps, y.size) draw
-    would.  Signs keep EM's weak order 1 (Kloeden and Platen 1992,
-    sec. 14.1; Milstein and Tretyakov 2004) for expectations at fixed
-    times, at a tenth of a normal's cost.  A first passage is a path
-    functional instead: how far a walk overshoots x = 0 between samples
-    depends on the increment law, so signs move its discrete-monitoring
-    bias (n = 2e5, +-0.24%: at 2 kT from +9.2% to +8.3% of the exact mean,
-    at 3 kT from +9.0% to +10.3%, a +2% shift of criterion 6's ratio), and
-    a Brownian-bridge crossing correction assumes Gaussian increments.
-    escape keeps normals.
+    Row k of path becomes the state after the chunk's step k + 1, each
+    step overwriting its noise row in place, and y ends as a copy of the
+    last row, as the next chunk's draw overwrites path.  The step
+    x <- x - U'(x)*dt + amp*z, or x*(1 + k1 - k1*x^2) + amp*z, reads
+    y <- y*(1 + k1 - y^2) + sqrt(k1)*amp*z in y = sqrt(k1)*x.
     """
     growth = 1.0 + k1
     factor = np.empty(y.size)
-    for step in range(0, n_steps, _CHUNK):
-        width = min(_CHUNK, n_steps - step)
-        path = buf[:width * y.size].reshape(width, y.size)
-        noise(path.shape, out=path)
-        prev = y
-        for row in path:  # out passed by position: a keyword costs each call about 0.1 us
-            np.multiply(prev, prev, factor)
-            np.subtract(growth, factor, factor)
-            np.multiply(factor, prev, factor)
-            np.add(row, factor, row)
-            prev = row
-        y[...] = prev  # a copy: the next chunk's draw overwrites path
-        yield step, path
+    prev = y
+    for row in path:  # out passed by position: a keyword costs each call about 0.1 us
+        np.multiply(prev, prev, factor)
+        np.subtract(growth, factor, factor)
+        np.multiply(factor, prev, factor)
+        np.add(row, factor, row)
+        prev = row
+    y[...] = prev
 
 
-def _relax_block(stream, rows, barrier_kT, side, dt, temperature, record):
+def _relax_block(stream, rows, barrier_kT, side, walk, record):
     """1-tuple of the states at step 0 and at each step of `record`, shape (1 + len(record), rows).
 
     Rows start from the ambient conditional equilibrium of `side` and
-    evolve at `temperature` up to step record[-1], with sign noise.
+    walk with sign noise up to step record[-1]; walk is _walk's constants.
     """
-    k1, root, scale = _walk_constants(barrier_kT, dt, temperature)
+    k1, root, scale = walk
     out = np.empty((1 + record.size, rows))
     out[0] = _sample_rows(barrier_kT, side, stream, rows)
     y = out[0] * root
+    buf = np.empty(_CHUNK * rows)
+    n_steps = int(record[-1])
     done = 0  # records stored so far
-    for step, path in _em_chunks(y, int(record[-1]), k1, partial(stream.signs, scale=scale),
-                                 np.empty(_CHUNK * rows)):
+    for step in range(0, n_steps, _CHUNK):
+        path = buf[:min(_CHUNK, n_steps - step) * rows].reshape(-1, rows)
+        stream.signs(path.shape, out=path, scale=scale)
+        _em_walk(y, path, k1)
         upto = np.searchsorted(record, step + len(path), side="right")
         np.divide(path[record[done:upto] - step - 1], root, out=out[1 + done:1 + upto])
         done = upto
     return (out,)
 
 
-def _escape_block(stream, rows, barrier_kT, dt, max_steps):
+def _escape_block(stream, rows, walk, max_steps):
     """1-tuple of each row's first step at x <= 0 from +1; -1 if none within max_steps.
 
     Rows walk with Gaussian noise, and those that have crossed drop out
-    after each chunk.
+    after each chunk; walk is _walk's constants.
     """
-    k1, root, scale = _walk_constants(barrier_kT, dt, 1.0)
-    noise = partial(_normals, stream, scale)
+    k1, root, scale = walk
     steps = np.full(rows, -1, dtype=np.int64)
     active = np.arange(rows)
     y = np.full(rows, root)
@@ -230,8 +213,10 @@ def _escape_block(stream, rows, barrier_kT, dt, max_steps):
     for walked in range(0, max_steps, _CHUNK):
         if not active.size:
             break
-        # One chunk per walk, so that the rows it saw cross leave before the next.
-        ((_, path),) = _em_chunks(y, min(_CHUNK, max_steps - walked), k1, noise, buf)
+        path = buf[:min(_CHUNK, max_steps - walked) * active.size].reshape(-1, active.size)
+        stream.standard_normal(path.shape, out=path)  # shape by position, for perfbench's trace
+        path *= scale
+        _em_walk(y, path, k1)
         crossed = path <= 0.0
         hit = crossed.any(axis=0)
         if hit.any():
@@ -257,11 +242,9 @@ def _relax(barrier_kT, side, t_total, dt, n_traj, seed, temperature, worker_coun
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
 
     # The step must be stable at the temperature the walk runs at.
-    n_steps = math.ceil(_em_steps(max_stable_dt(barrier_kT, temperature), n_traj, t_total, dt))
-    _walk_constants(barrier_kT, dt, temperature)
+    n_steps, walk = _walk(barrier_kT, temperature, dt, n_traj, t_total)
     record = _log_step_grid(n_steps)
-    task = partial(_relax_block, barrier_kT=barrier_kT, side=side, dt=dt,
-                   temperature=temperature, record=record)
+    task = partial(_relax_block, barrier_kT=barrier_kT, side=side, walk=walk, record=record)
     (x,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     u = _potential(x, barrier_kT)
     p1 = np.mean(x >= 0.0, axis=1)
@@ -309,11 +292,10 @@ def measure_escape_time(barrier_kT, n_traj, dt, seed, *, worker_count=1):
     inequality, applied once per two such means, leaves a correct walk at
     most a 2^-50 chance of reaching the cap.
     """
-    bound = max_stable_dt(barrier_kT)  # refuses a bad barrier before the oracle reads it
-    _em_steps(bound, n_traj, oracles.escape_mfpt(barrier_kT), dt)
-    _walk_constants(barrier_kT, dt, 1.0)
+    max_stable_dt(barrier_kT)  # refuses a bad barrier before the oracle reads it
+    _, walk = _walk(barrier_kT, 1.0, dt, n_traj, oracles.escape_mfpt(barrier_kT))
     max_steps = math.ceil(oracles.CAP * oracles.escape_mfpt(barrier_kT, math.inf) / dt)
-    task = partial(_escape_block, barrier_kT=barrier_kT, dt=dt, max_steps=max_steps)
+    task = partial(_escape_block, walk=walk, max_steps=max_steps)
     (steps,) = run_blocks(task, n_traj, BLOCK, seed, worker_count=worker_count)
     stuck = np.count_nonzero(steps < 0)
     if stuck:

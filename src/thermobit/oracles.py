@@ -60,7 +60,7 @@ def escape_mfpt(barrier_kT, start=1.0):
         return float(np.sum(_trapezoid(np.exp(u_y) * tail, y)))
 
 
-@lru_cache(maxsize=64)  # write_bit asks once per write
+@lru_cache(maxsize=64)  # _write_cap asks once per ensemble, and once per write_bit
 def write_mfpt(u0_sigma, dt_tau):
     """Mean time, in tau, of a write from a stationary start that samples every dt.
 

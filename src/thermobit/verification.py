@@ -9,6 +9,7 @@ import contextlib
 import io
 import math
 import os
+import pathlib
 import tempfile
 import time
 from dataclasses import dataclass
@@ -206,8 +207,7 @@ def check_determinism(master_seed):
                     failures[argv] = f"{' '.join(argv)}: exit {rc}"
                     continue
                 csvs = sorted(f for f in os.listdir(outdir) if f.endswith(".csv"))
-                blobs[argv].append(b"".join(open(os.path.join(outdir, f), "rb").read()
-                                            for f in csvs))
+                blobs[argv].append(b"".join(pathlib.Path(outdir, f).read_bytes() for f in csvs))
     for argv in _DETERMINISM_RUNS:
         if argv not in failures and len(set(blobs[argv])) != 1:
             failures[argv] = f"{' '.join(argv)}: CSV bytes differ across workers"

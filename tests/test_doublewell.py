@@ -86,7 +86,32 @@ class TestParams:
         with pytest.raises(ValueError, match="both must be normal floats"):
             heated_erase(1e-300, 2.0, 1e-302, 1e-309, 100, seed=0)
         with pytest.raises(ValueError, match="both must be normal floats"):
-            doublewell._walk_constants(1e10, 1e-315, 1.0)
+            constants(1e10, 1e-315)
+
+    def test_walk_refuses_before_any_stream(self, no_stream, monkeypatch):
+        # _walk checks a walk once, in the parent: each of its refusals
+        # reaches relax, heated and escape before any block makes a stream.
+        # Each case is (match, relax, heated, escape arguments after the
+        # barrier).  The budget is lifted for the step constants, where
+        # escape's oracle would otherwise be refused first as too long.
+        bad, ok = 2.0 * max_stable_dt(2.0), max_stable_dt(2.0, 4.0)
+        cases = [("dt must be positive", (2.0, 1, 1.0, dt, 100), (2.0, 4.0, 1.0, dt, 100),
+                  (2.0, 100, dt)) for dt in (0.0, -1.0, math.nan)]
+        cases += [("exceeds the Euler-Maruyama stability bound", (2.0, 1, 1.0, bad, 100),
+                   (2.0, 4.0, 1.0, bad, 100), (2.0, 100, bad)),
+                  ("above the budget", (2.0, 1, 1e9, ok, 100), (2.0, 4.0, 1e9, ok, 100),
+                   (20.0, 100, 0.5 * max_stable_dt(20.0))),
+                  (r"k1 = 4\*E\*dt of 0.0", (1e-300, 1, 1e-302, 1e-309, 100),
+                   (1e-300, 2.0, 1e-302, 1e-309, 100), (1e-300, 100, 1e-309)),
+                  ("both must be normal floats", (1e10, 1, 1e-310, 1e-315, 100),
+                   (1e10, 2.0, 1e-310, 1e-315, 100), (1e10, 100, 1e-315))]
+        budget = oracles.DRAW_BUDGET
+        for match, relax, heated, escape in cases:
+            monkeypatch.setattr(oracles, "DRAW_BUDGET", budget if "budget" in match else math.inf)
+            for run, args in ((relax_ensemble, relax), (heated_erase, heated),
+                              (measure_escape_time, escape)):
+                with pytest.raises(ValueError, match=match):
+                    run(*args, seed=0)
 
     def test_stable_dt_follows_kT_below_a_low_barrier(self):
         # Below E = kT the walk's thermal spread, not the minima, sets the curvature.
@@ -111,15 +136,23 @@ def scalar_em_path(barrier, x, z, dt, temperature=1.0):
     return path
 
 
-def em_walk(x, n_steps, barrier, dt, noise, temperature=1.0):
-    """Drain doublewell._em_chunks from x; return the path in x, copied chunk by chunk.
+def constants(barrier, dt, temperature=1.0):
+    """A walk's (k1, sqrt(k1), noise scale), from doublewell._walk for one step of one row."""
+    return doublewell._walk(barrier, temperature, dt, 1, dt)[1]
 
-    noise(scale) is the walk's noise at its scale.
+
+def em_walk(x, n_steps, barrier, dt, noise, temperature=1.0):
+    """Walk x through doublewell._em_walk chunk by chunk; return the path in x.
+
+    noise(path, scale) fills a chunk with the walk's noise at its scale.
     """
-    k1, root, scale = doublewell._walk_constants(barrier, dt, temperature)
-    buf = np.empty(doublewell._CHUNK * x.size)
-    path = np.concatenate([path.copy() for _, path in doublewell._em_chunks(
-        x * root, n_steps, k1, noise(scale), buf)])
+    k1, root, scale = constants(barrier, dt, temperature)
+    y = x * root
+    path = np.empty((n_steps, x.size))
+    for step in range(0, n_steps, doublewell._CHUNK):
+        chunk = path[step:step + doublewell._CHUNK]
+        noise(chunk, scale)
+        doublewell._em_walk(y, chunk, k1)
     return path / root
 
 
@@ -144,26 +177,27 @@ class KickStream:
         return out
 
 
-def normals(stream, scale):
+def normals(stream, path, scale):
     """The escape's noise: the stream's normals at a walk's scale."""
-    return partial(doublewell._normals, stream, scale)
+    stream.standard_normal(path.shape, out=path)
+    path *= scale
 
 
-def signs(stream, scale):
+def signs(stream, path, scale):
     """The noise of relax and heated: the stream's signs at a walk's scale."""
-    return partial(stream.signs, scale=scale)
+    stream.signs(path.shape, out=path, scale=scale)
 
 
 class TestEmStep:
     def test_drift_vanishes_at_stationary_points(self):
         # In y = sqrt(k1)*x the stationary points are 0 and +-sqrt(k1).
         dt = 0.5 * max_stable_dt(2.0)
-        k1, root, scale = doublewell._walk_constants(2.0, dt, 1.0)
+        k1, root, scale = constants(2.0, dt)
         y0 = np.array([0.0, root, -root])
         z = make_stream(30, 0).standard_normal((1, 3))
-        buf = np.empty(doublewell._CHUNK * 3)
-        ((_, got),) = doublewell._em_chunks(y0.copy(), 1, k1,
-                                            normals(make_stream(30, 0), scale), buf)
+        got = np.empty((1, 3))
+        normals(make_stream(30, 0), got, scale)
+        doublewell._em_walk(y0.copy(), got, k1)
         np.testing.assert_allclose(got[0], y0 + scale * z[0], rtol=1e-14, atol=1e-14 * root)
 
     def test_rejects_unstable_dt(self):
@@ -192,12 +226,14 @@ class TestEmStep:
         # The next chunk's draw overwrites the buffer, so a state that
         # aliased it would start that chunk from fresh noise.
         dt = 0.5 * max_stable_dt(2.0)
-        k1, root, scale = doublewell._walk_constants(2.0, dt, 1.0)
+        k1, root, scale = constants(2.0, dt)
         y = root * np.array([1.0, -1.0, 0.5])
-        buf = np.empty(doublewell._CHUNK * y.size)
-        for _, path in doublewell._em_chunks(y, 3 * doublewell._CHUNK, k1,
-                                             signs(make_stream(33, 0), scale), buf):
-            assert not np.shares_memory(y, buf)
+        path = np.empty((doublewell._CHUNK, y.size))
+        stream = make_stream(33, 0)
+        for _ in range(3):
+            signs(stream, path, scale)
+            doublewell._em_walk(y, path, k1)
+            assert not np.shares_memory(y, path)
             np.testing.assert_array_equal(y, path[-1])
 
 
@@ -210,7 +246,8 @@ class TestBlockKernels:
         rows, n_steps = 5, 700
         assert n_steps % doublewell._CHUNK
         record = np.union1d(doublewell._log_step_grid(n_steps), [32, 33, 512, 513])
-        (got,) = doublewell._relax_block(make_stream(50, 0), rows, 2.0, 1, dt, 3.0, record)
+        (got,) = doublewell._relax_block(make_stream(50, 0), rows, 2.0, 1,
+                                         constants(2.0, dt, 3.0), record)
 
         rng = make_stream(50, 0)
         x0 = doublewell._sample_rows(2.0, 1, rng, rows)
@@ -225,7 +262,7 @@ class TestBlockKernels:
         # normals for the next.
         dt = 0.5 * max_stable_dt(2.0)
         rows, max_steps, c = 40, 700, doublewell._CHUNK
-        (got,) = doublewell._escape_block(make_stream(51, 0), rows, 2.0, dt, max_steps)
+        (got,) = doublewell._escape_block(make_stream(51, 0), rows, constants(2.0, dt), max_steps)
 
         rng = make_stream(51, 0)
         want = np.full(rows, -1)
@@ -249,22 +286,21 @@ class TestBlockKernels:
         dt = 0.5 * max_stable_dt(2.0)
         c = doublewell._CHUNK
         kicks = [(c, 0), (c + 1, 0), (2 * c + 5, 1), (3 * c + 7, 0)]
-        (got,) = doublewell._escape_block(KickStream(kicks, dt), 5, 2.0, dt, 3 * c + 7)
+        (got,) = doublewell._escape_block(KickStream(kicks, dt), 5, constants(2.0, dt), 3 * c + 7)
         np.testing.assert_array_equal(got, [c, c + 1, 3 * c + 7, 2 * c + 5, -1])
 
     def test_block_working_set_is_bounded(self):
         # A 2048-row block holds its output (1.3 MB for the default relax's
-        # 78 records) and one (_CHUNK, rows) noise buffer of 0.5 MB; one
-        # (_ROUND, rows) round of noise alone would be 8.4 MB.
+        # 78 records) and one (_CHUNK, rows) noise buffer of 0.5 MB.
         dt = 0.5 * max_stable_dt(2.0)
         record = doublewell._log_step_grid(6400)
         dt3 = 0.5 * max_stable_dt(3.0)
         max_steps = math.ceil(oracles.CAP * oracles.escape_mfpt(3.0) / dt3)
         peaks = []
-        for block in (partial(doublewell._relax_block, make_stream(52, 0), BLOCK, 2.0, 1, dt,
-                              1.0, record),
-                      partial(doublewell._escape_block, make_stream(53, 0), BLOCK, 3.0, dt3,
-                              max_steps)):
+        for block in (partial(doublewell._relax_block, make_stream(52, 0), BLOCK, 2.0, 1,
+                              constants(2.0, dt), record),
+                      partial(doublewell._escape_block, make_stream(53, 0), BLOCK,
+                              constants(3.0, dt3), max_steps)):
             tracemalloc.start()
             try:
                 block()
