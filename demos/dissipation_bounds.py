@@ -18,8 +18,8 @@ Run: python demos/dissipation_bounds.py
 
 import math
 
-from thermobit import (BOLTZMANN, IceCubeModel, NoErasureError, anderson_bound,
-                       binary_entropy, brillouin_min_dissipation, ice_cube_erasure_energy)
+from thermobit import (BOLTZMANN, NoErasureError, anderson_bound, binary_entropy,
+                       brillouin_min_dissipation, ice_cube_erasure_energy)
 
 T = 300.0
 kT = BOLTZMANN * T
@@ -38,7 +38,7 @@ print(f"claimed maximum cooling per erased bit: {abs(b) / kT:.4f} kT "
       f"({abs(b):.3e} J at {T:.0f} K)\n")
 
 print("=== 3. The ice-cube tray memory breaks it ===")
-comp = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0, ambient_temperature=T))
+comp = ice_cube_erasure_energy(10.0, T)
 print(f"latent heat drawn from the room : {comp.cooling_joule:10.1f} J")
 print(f"                               = {comp.cooling_kT:10.4g} kT")
 print(f"claimed limit                   = {abs(comp.anderson_kT):10.4f} kT")
@@ -46,14 +46,13 @@ print(f"violation factor                = {comp.violation_factor:.3g} "
       f"(10^{math.log10(comp.violation_factor):.1f})\n")
 
 print("Sensible heat only makes it worse:")
-full = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0, ambient_temperature=T,
-                                            include_sensible_heat=True))
+full = ice_cube_erasure_energy(10.0, T, include_sensible_heat=True)
 print(f"with warming the ice and meltwater: {full.cooling_joule:.1f} J "
       f"(+{full.cooling_joule - comp.cooling_joule:.1f} J)\n")
 
 print("Below freezing nothing melts and nothing erases:")
 try:
-    ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0, ambient_temperature=260.0))
+    ice_cube_erasure_energy(10.0, 260.0)
 except NoErasureError as exc:
     print(f"  NoErasureError: {exc}\n")
 

@@ -9,7 +9,7 @@ against.
 
 __version__ = "0.1.0"  # set before the submodules load: reporting reads it
 
-from .bounds import (BOLTZMANN, BoundComparison, IceCubeModel, NoErasureError, anderson_bound,
+from .bounds import (BOLTZMANN, BoundComparison, NoErasureError, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy)
 from .capacitor import (EraseRecord, ErasureReport, WriteRecord, WriteTimeoutError, erase,
                         erase_dissipation_theory, partial_erase_error_prob,

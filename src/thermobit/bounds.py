@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "BOLTZMANN",
-    "IceCubeModel",
     "BoundComparison",
     "NoErasureError",
     "brillouin_min_dissipation",
@@ -30,7 +29,7 @@ BOLTZMANN = 1.380649e-23
 FREEZING_POINT = 273.15  # K
 INITIAL_ICE_TEMPERATURE = 255.15  # K, a freezer; the meltwater ends at ambient
 
-# Cited defaults; the density and the latent heat are IceCubeModel fields.
+# Cited defaults; the density and the latent heat are ice_cube_erasure_energy's keywords.
 ICE_DENSITY = 0.917  # g/cm^3
 LATENT_HEAT_FUSION = 333.55  # J/g
 SPECIFIC_HEAT_ICE = 2.1  # J/(g K)
@@ -85,24 +84,6 @@ def anderson_bound(delta_S_bits, T):
 
 
 @dataclass(frozen=True)
-class IceCubeModel:
-    """One bit of the ice-cube-tray memory (frozen = 1, melted = 0)."""
-
-    volume_cm3: float
-    ambient_temperature: float = 300.0  # K
-    ice_density: float = ICE_DENSITY
-    latent_heat_fusion: float = LATENT_HEAT_FUSION
-    include_sensible_heat: bool = False
-
-    def __post_init__(self):
-        _check_positive(**self._quantities())
-
-    def _quantities(self):
-        """Every field but the flag: the physical quantities, each finite and positive."""
-        return {k: v for k, v in vars(self).items() if k != "include_sensible_heat"}
-
-
-@dataclass(frozen=True)
 class BoundComparison:
     """Computed erasure cooling against the self-entropy limit."""
 
@@ -113,25 +94,29 @@ class BoundComparison:
     violation_factor: float
 
 
-def ice_cube_erasure_energy(model: IceCubeModel) -> BoundComparison:
+def ice_cube_erasure_energy(volume_cm3, ambient_K=300.0, *, ice_density=ICE_DENSITY,
+                            latent_heat=LATENT_HEAT_FUSION, include_sensible_heat=False):
     """Cooling drawn from the environment when one frozen cube melts.
 
-    Latent heat dominates; sensible heat (warming the ice to 0 C and the
-    meltwater up to ambient) can be added for sensitivity analysis and
+    One cube of the ice-cube-tray memory holds one bit (frozen = 1, melted
+    = 0).  Latent heat dominates; sensible heat (warming the ice to 0 C and
+    the meltwater up to ambient) can be added for sensitivity analysis and
     only increases the total.
     """
-    T = model.ambient_temperature
-    if T <= FREEZING_POINT:
+    quantities = {"volume_cm3": volume_cm3, "ambient_K": ambient_K,
+                  "ice_density": ice_density, "latent_heat": latent_heat}
+    _check_positive(**quantities)
+    if ambient_K <= FREEZING_POINT:
         raise NoErasureError(
-            f"ambient {T!r} K is at or below freezing: the frozen state is stable "
+            f"ambient {ambient_K!r} K is at or below freezing: the frozen state is stable "
             "and melting-as-erasure does not proceed")
-    mass = model.ice_density * model.volume_cm3  # g
-    q = mass * model.latent_heat_fusion
-    if model.include_sensible_heat:
+    mass = ice_density * volume_cm3  # g
+    q = mass * latent_heat
+    if include_sensible_heat:
         q += mass * SPECIFIC_HEAT_ICE * (FREEZING_POINT - INITIAL_ICE_TEMPERATURE)
-        q += mass * SPECIFIC_HEAT_WATER * (T - FREEZING_POINT)
-    kT = BOLTZMANN * T
-    bound = anderson_bound(1.0, T)
+        q += mass * SPECIFIC_HEAT_WATER * (ambient_K - FREEZING_POINT)
+    kT = BOLTZMANN * ambient_K
+    bound = anderson_bound(1.0, ambient_K)
     comp = BoundComparison(
         cooling_joule=q,
         cooling_kT=q / kT,
@@ -139,6 +124,5 @@ def ice_cube_erasure_energy(model: IceCubeModel) -> BoundComparison:
         anderson_kT=bound / kT,
         violation_factor=q / abs(bound),
     )
-    _check_finite("cooling", vars(comp).values(), **model._quantities())
+    _check_finite("cooling", vars(comp).values(), **quantities)
     return comp
-

@@ -210,18 +210,13 @@ def _run_bounds_anderson(o):
 
 
 def _run_bounds_icecube(o):
-    model = bounds_mod.IceCubeModel(
-        volume_cm3=o["volume_cm3"],
-        ambient_temperature=o["ambient_K"],
-        ice_density=o["ice_density"],
-        latent_heat_fusion=o["latent_heat"],
-        include_sensible_heat=bool(o["sensible"]),
-    )
-    comp = bounds_mod.ice_cube_erasure_energy(model)
+    comp = bounds_mod.ice_cube_erasure_energy(
+        o["volume_cm3"], o["ambient_K"], ice_density=o["ice_density"],
+        latent_heat=o["latent_heat"], include_sensible_heat=o["sensible"])
     row = {"Q_joule": comp.cooling_joule, "Q_kT": comp.cooling_kT,
            "bound_kT": comp.anderson_kT, "violation_factor": comp.violation_factor}
     block = (
-        f"Ice-cube erasure, V = {model.volume_cm3} cm^3 at {model.ambient_temperature} K\n"
+        f"Ice-cube erasure, V = {o['volume_cm3']} cm^3 at {o['ambient_K']} K\n"
         f"  cooling drawn from environment : {comp.cooling_joule:.4g} J"
         f" = {comp.cooling_kT:.4g} kT\n"
         f"  self-entropy cooling limit     : {comp.anderson_joule:.4g} J"
@@ -313,8 +308,7 @@ _KEYWORDS = {"workers": ("worker_count",), "n": ("n", "n_traj"),
              "barrier-kt": ("barrier_kT",), "t-hot": ("T_hot", "temperature"),
              "dt-tau": ("dt",), "u0-sigma": ("u0",), "duration-tau": ("duration", "t"),
              "durations-tau": ("durations",), "p-e": ("p_e", "p"), "temperature-K": ("T",),
-             "delta-s-bits": ("delta_S_bits",), "ambient-K": ("ambient_temperature",),
-             "latent-heat": ("latent_heat_fusion",)}
+             "delta-s-bits": ("delta_S_bits",)}
 
 
 def _flag_names(message, opts):
@@ -420,8 +414,7 @@ def main(argv=None):
 
     print(json.dumps({"command": " ".join(args._name), "config": config,
                       "outputs": {"csv": csv_path, "manifest": manifest_path},
-                      "summary": {**rows[-1], **extras}}, indent=2, sort_keys=True,
-                     default=str))
+                      "summary": {**rows[-1], **extras}}, indent=2, sort_keys=True))
     return 0
 
 

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import cli, oracles
-from .bounds import (BOLTZMANN, IceCubeModel, anderson_bound,
+from .bounds import (BOLTZMANN, anderson_bound,
                      brillouin_min_dissipation, ice_cube_erasure_energy)
 from .capacitor import (BLOCK as CAPACITOR_BLOCK, _bath_heat, _erase_block, _erased,
                         _write_cap, _write_rows, erase_dissipation_theory, erase_ensemble,
@@ -140,7 +140,7 @@ def check_kramers_scaling(master_seed):
 
 def check_ice_cube(master_seed):
     """10 cm^3 at 300 K: ~7.4e23 kT of cooling, >1e23 times the 1-bit limit."""
-    comp = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0, ambient_temperature=300.0))
+    comp = ice_cube_erasure_energy(10.0, 300.0)
     oracle = 0.917 * 10.0 * 333.55 / (BOLTZMANN * 300.0)
     rel = abs(comp.cooling_kT - oracle) / oracle
     order = math.log10(comp.cooling_kT)

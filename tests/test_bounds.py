@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from thermobit.bounds import (BOLTZMANN, BoundComparison, IceCubeModel, NoErasureError,
-                              anderson_bound, brillouin_min_dissipation,
-                              ice_cube_erasure_energy)
+from thermobit.bounds import (BOLTZMANN, BoundComparison, NoErasureError, anderson_bound,
+                              brillouin_min_dissipation, ice_cube_erasure_energy)
 
 LN2 = math.log(2.0)
 
@@ -61,32 +60,31 @@ class TestIceCube:
     def test_frozen_reference_values(self):
         # Oracle: 10 cm^3 * 0.917 g/cm^3 * 333.55 J/g = 3058.6535 J;
         # at 300 K that is 3058.6535 / (k * 300) = 7.3846e23 kT.
-        cmp_ = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0))
+        cmp_ = ice_cube_erasure_energy(10.0)
         assert cmp_.cooling_joule == pytest.approx(3058.6535, rel=1e-12)
         assert cmp_.cooling_kT == pytest.approx(3058.6535 / (BOLTZMANN * 300.0), rel=1e-12)
         assert cmp_.cooling_kT == pytest.approx(7.3846e23, rel=1e-4)
 
     def test_violates_self_entropy_limit(self):
-        cmp_ = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0))
+        cmp_ = ice_cube_erasure_energy(10.0)
         assert cmp_.anderson_kT == pytest.approx(-LN2, rel=1e-12)
         assert cmp_.violation_factor > 1e23
         assert 23.5 <= math.log10(cmp_.violation_factor) < 24.5
 
     def test_linear_in_volume(self):
-        one = ice_cube_erasure_energy(IceCubeModel(volume_cm3=1.0))
-        five = ice_cube_erasure_energy(IceCubeModel(volume_cm3=5.0))
+        one = ice_cube_erasure_energy(1.0)
+        five = ice_cube_erasure_energy(5.0)
         assert five.cooling_joule == pytest.approx(5.0 * one.cooling_joule, rel=1e-12)
 
     def test_no_melting_below_freezing(self):
         with pytest.raises(NoErasureError):
-            ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0, ambient_temperature=260.0))
+            ice_cube_erasure_energy(10.0, 260.0)
         with pytest.raises(NoErasureError):
-            ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0, ambient_temperature=273.15))
+            ice_cube_erasure_energy(10.0, 273.15)
 
     def test_sensible_heat_only_adds(self):
-        latent = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0))
-        full = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0,
-                                                    include_sensible_heat=True))
+        latent = ice_cube_erasure_energy(10.0)
+        full = ice_cube_erasure_energy(10.0, include_sensible_heat=True)
         assert full.cooling_joule > latent.cooling_joule
         # Hand-computed sensible terms: warm 9.17 g of ice by 18 K at
         # 2.1 J/(g K), then 9.17 g of water by 26.85 K at 4.18 J/(g K).
@@ -94,12 +92,22 @@ class TestIceCube:
         expected = 3058.6535 + mass * 2.1 * 18.0 + mass * 4.18 * 26.85
         assert full.cooling_joule == pytest.approx(expected, rel=1e-12)
 
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            IceCubeModel(volume_cm3=0.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["volume_cm3", "ambient_K", "ice_density", "latent_heat"])
+    def test_refuses_a_quantity_not_positive_and_finite(self, name, value):
+        kwargs = {"volume_cm3": 10.0, "ambient_K": 300.0, name: value}
+        with pytest.raises(ValueError) as exc:
+            ice_cube_erasure_energy(**kwargs)
+        assert str(exc.value).startswith(f"{name} must be positive and finite")
+
+    def test_positivity_is_checked_before_freezing(self):
+        # A negative ambient is an invalid input, not an ambient too cold to melt.
+        with pytest.raises(ValueError) as exc:
+            ice_cube_erasure_energy(10.0, -5.0)
+        assert not isinstance(exc.value, NoErasureError)
 
     def test_result_is_value_object(self):
-        cmp_ = ice_cube_erasure_energy(IceCubeModel(volume_cm3=10.0))
+        cmp_ = ice_cube_erasure_energy(10.0)
         assert isinstance(cmp_, BoundComparison)
         with pytest.raises(AttributeError):
             cmp_.cooling_joule = 0.0
