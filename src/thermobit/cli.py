@@ -28,7 +28,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -366,6 +365,13 @@ def _run_verify(master_seed):
     return 0 if n_fail == 0 else 1
 
 
+def _runtime_errors():
+    """The errors that exit 4: a dead pool worker's only once a pool has loaded its module."""
+    pool = sys.modules.get("concurrent.futures.process")
+    return (cap_mod.WriteTimeoutError, dw_mod.EscapeInfeasibleError, bounds_mod.NoErasureError,
+            EnsembleWorkerError, OSError) + ((pool.BrokenProcessPool,) if pool else ())
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     joined, i = [], 0
@@ -403,9 +409,7 @@ def main(argv=None):
         config = {"subcommand": "_".join(args._name), "output_dir": output_dir, **o}
         manifest_path = os.path.join(output_dir, base + ".manifest.json")
         write_manifest(manifest_path, config, [csv_path])
-    except (cap_mod.WriteTimeoutError, dw_mod.EscapeInfeasibleError,
-            bounds_mod.NoErasureError, EnsembleWorkerError, BrokenProcessPool,
-            OSError) as exc:
+    except _runtime_errors() as exc:
         print(f"thermobit: runtime error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

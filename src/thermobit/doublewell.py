@@ -22,7 +22,12 @@ output, however many steps it walks.  The walk is in the scaled
 coordinate y = sqrt(k1)*x, k1 = 4*E*dt, in which a step is four array
 passes and the noise arrives scaled; relax and heated store
 x = y/sqrt(k1), and escape tests y <= 0, its crossed rows leaving the
-block after each chunk.
+block after each chunk.  An escape block walks until its slowest row
+crosses, so its last few rows walk long stretches nearly alone, where
+four ufunc calls a step cost far more than their arithmetic: once at
+most _TAIL rows are left, each chunk is drawn as before and _tail_walk
+steps each row in Python floats, by the same IEEE operations in the
+same order, so every step count and byte is the same.
 
 relax and heated report expectations at fixed times, which need only
 weak convergence, so their steps take a random sign as noise (the
@@ -58,6 +63,11 @@ BLOCK = 2048
 
 # EM steps per noise draw into a block's one reused (_CHUNK, rows) buffer.
 _CHUNK = 32
+
+# An escape block with at most this many rows left walks them in Python
+# floats (_tail_walk): there a ufunc call's fixed 0.4-0.9 us outweighs
+# the work of its few elements.
+_TAIL = 8
 
 
 class EscapeInfeasibleError(RuntimeError):
@@ -166,14 +176,37 @@ def _em_walk(y, path, k1):
     """
     growth = 1.0 + k1
     factor = np.empty(y.size)
+    multiply, subtract, add = np.multiply, np.subtract, np.add  # one lookup per chunk, not per step
     prev = y
     for row in path:  # out passed by position: a keyword costs each call about 0.1 us
-        np.multiply(prev, prev, factor)
-        np.subtract(growth, factor, factor)
-        np.multiply(factor, prev, factor)
-        np.add(row, factor, row)
+        multiply(prev, prev, factor)
+        subtract(growth, factor, factor)
+        multiply(factor, prev, factor)
+        add(row, factor, row)
         prev = row
     y[...] = prev
+
+
+def _tail_walk(y, path, k1):
+    """Walk each of path's few columns in Python floats; return each one's first step at y <= 0.
+
+    The columns are the last active rows of an escape block, for which a
+    ufunc call costs more than its arithmetic.  A row stops at its first
+    y <= 0 (0 if it never gets there in this chunk); the others end with
+    their carried state in y.  The step z + (growth - y*y)*y must stay
+    _em_walk's: the same IEEE operations in the same order, so a row
+    walks the same floats, and crosses at the same step, on either path.
+    """
+    growth = 1.0 + k1
+    first = [0] * y.size
+    for i, (yi, column) in enumerate(zip(y.tolist(), path.T.tolist())):
+        for k, z in enumerate(column, 1):
+            yi = z + (growth - yi * yi) * yi
+            if yi <= 0.0:
+                first[i] = k
+                break
+        y[i] = yi
+    return np.array(first)
 
 
 def _relax_block(stream, rows, barrier_kT, side, walk, record):
@@ -203,7 +236,8 @@ def _escape_block(stream, rows, walk, max_steps):
     """1-tuple of each row's first step at x <= 0 from +1; -1 if none within max_steps.
 
     Rows walk with Gaussian noise, and those that have crossed drop out
-    after each chunk; walk is _walk's constants.
+    after each chunk; walk is _walk's constants.  Once at most _TAIL rows
+    are left, each chunk's draw is the same and _tail_walk steps it.
     """
     k1, root, scale = walk
     steps = np.full(rows, -1, dtype=np.int64)
@@ -216,11 +250,17 @@ def _escape_block(stream, rows, walk, max_steps):
         path = buf[:min(_CHUNK, max_steps - walked) * active.size].reshape(-1, active.size)
         stream.standard_normal(path.shape, out=path)  # shape by position, for perfbench's trace
         path *= scale
-        _em_walk(y, path, k1)
-        crossed = path <= 0.0
-        hit = crossed.any(axis=0)
+        if active.size > _TAIL:
+            _em_walk(y, path, k1)
+            crossed = path <= 0.0
+            hit = crossed.any(axis=0)
+            first = crossed[:, hit].argmax(axis=0) + 1
+        else:
+            first = _tail_walk(y, path, k1)
+            hit = first > 0
+            first = first[hit]
         if hit.any():
-            steps[active[hit]] = walked + crossed[:, hit].argmax(axis=0) + 1
+            steps[active[hit]] = walked + first
             active, y = active[~hit], y[~hit]
     return (steps,)
 

@@ -21,17 +21,18 @@ there is only one share.
 Runs at worker_count > 1 share one process pool, kept alive for the
 life of the process and reused by every later call with the same count;
 a call with another count shuts it down and starts a new one, a pool
-whose worker died is dropped so that the next call starts afresh, and
-concurrent.futures' own exit hook shuts it down at interpreter exit.  The
-workers start by the platform's default method.  Where that is fork (Linux
+whose worker died is dropped so that the next call starts afresh, and an
+exit hook registered with the first pool shuts it down at interpreter
+exit.  concurrent.futures, and with it multiprocessing, is imported only
+when a pool starts, so a run at one worker never loads it.  The workers
+start by the platform's default method.  Where that is fork (Linux
 before Python 3.14), they see module state (module globals, class
 attributes, monkeypatches) as it was when the pool was forked, not as it
 is when a later ensemble runs.  One thread at a time may run ensembles.
 """
 
+import atexit
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = ["EnsembleWorkerError", "MAX_WORKERS", "run_parallel_ensemble", "run_b
 MAX_WORKERS = 256
 
 _live = None  # (worker_count, executor) of the one pool kept alive
+_hooked = False  # whether the exit hook that shuts _live down is registered
 
 
 class EnsembleWorkerError(RuntimeError):
@@ -65,13 +67,25 @@ class EnsembleWorkerError(RuntimeError):
 
 def _pool(worker_count):
     """The live pool of worker_count processes, started or replaced as needed."""
-    global _live
+    global _live, _hooked
     if _live is not None and _live[0] != worker_count:
-        _live[1].shutdown()
-        _live = None
+        _shutdown()
     if _live is None:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if not _hooked:  # after multiprocessing's own hook, so it runs first
+            atexit.register(_shutdown)
+            _hooked = True
         _live = (worker_count, ProcessPoolExecutor(max_workers=worker_count))
     return _live[1]
+
+
+def _shutdown():
+    """Shut the live pool down (joining its workers) and drop it."""
+    global _live
+    if _live is not None:
+        _live[1].shutdown()
+        _live = None
 
 
 def _check_counts(n, worker_count):
@@ -98,17 +112,17 @@ def _dispatch(run_share, shares, worker_count):
     Results come back in share order, and a failure is raised from the
     first failing share, so the lowest failing stream index wins.
     """
-    global _live
     if worker_count == 1:
         return [run_share(share) for share in shares]
     pool = _pool(worker_count)
+    from concurrent.futures.process import BrokenProcessPool  # loaded by _pool
+
     try:
         futures = [pool.submit(run_share, share) for share in shares]
         return [future.result() for future in futures]
     except BrokenProcessPool:
         # A dead worker breaks the pool for good: reap it, let the next call start anew.
-        pool.shutdown()
-        _live = None
+        _shutdown()
         raise
 
 

@@ -16,8 +16,11 @@ __all__ = ["DRAW_BUDGET", "MIN_ROWS", "CAP", "check_budget", "escape_mfpt", "wri
 DRAW_BUDGET = 10 ** 10  # expected draws of one ensemble: 200-400 s at 20-40 ns a draw
 # A step of a per-step kernel costs its block about 2.4 us whatever its rows:
 # 128 rows at 19 ns a row-step with a normal draw (numpy 2.4, 2-core x86-64),
-# and a 128-row double-well step on signs 2.4-2.6 us; a lone row costs about
-# 4 us, as numpy's in-place ufuncs are slower on 1-element arrays.  A row-step
+# and a 128-row double-well step on signs 2.4-2.6 us.  numpy's in-place ufuncs
+# are slower on 1-element arrays, so an escape block's last doublewell._TAIL
+# rows step in Python floats: a step with its normal draw costs 0.40 us for
+# one or two rows and 1.06 us for eight, 130-200 ns a row-step (400 ns for a
+# lone row, against about 3.8 us in ufuncs).  A row-step
 # of relax or heated, whose noise is a sign, costs about 3.3 ns, so the budget
 # is conservative for them.
 MIN_ROWS = 128

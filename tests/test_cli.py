@@ -107,9 +107,7 @@ class TestExitCodes:
         # Bad input is refused before any process starts: no pool is built.
         # The seed and the worker count are checked by ensemble.run_blocks.
         built = []
-        monkeypatch.setattr(ensemble, "_live", None)
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor",
-                            lambda **kwargs: built.append(kwargs))
+        monkeypatch.setattr(ensemble, "_pool", lambda *args: built.append(args))
         code, _, err = run_cli(argv + ["--n", "10", "--output-dir", str(tmp_path)])
         assert code == 3
         assert "config error" in err
@@ -434,6 +432,20 @@ class TestNumpyOnlyRuntime:
              "from thermobit import cli; sys.exit(cli.main(['verify']))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_one_worker_loads_no_process_pool(tmp_path):
+    # concurrent.futures and multiprocessing load only when a pool starts,
+    # and a runtime error still exits 4 without them.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, thermobit.cli; "
+         "code = thermobit.cli.main(['bounds', 'icecube', '--ambient-K', '260', "
+         "'--output-dir', sys.argv[1]]); "
+         "print(code, sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))", str(tmp_path)],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "4 []", proc.stdout + proc.stderr
+    assert "runtime error" in proc.stderr
 
 
 class TestOutputs:

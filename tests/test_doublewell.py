@@ -278,16 +278,54 @@ class TestBlockKernels:
         chunks = np.unique((want[want > 0] - 1) // c)
         assert chunks.size > 3 and chunks[-1] > 5 and (want < 0).any()
 
-    def test_escape_steps_at_chunk_and_walk_ends(self):
+    @pytest.mark.parametrize("rows", [5, doublewell._TAIL + 5], ids=["tail", "arrays"])
+    def test_escape_steps_at_chunk_and_walk_ends(self, rows):
         # Rows 0-3 cross at the last step of the first chunk, the first
         # step of the second, the walk's last step and a step inside the
-        # third chunk; row 4 never does.  The third chunk's active rows are
-        # 2-4 and the last chunk's 2 and 4.
+        # third chunk; the rest never do.  The third chunk's active rows are
+        # 2 onward and the last chunk's 2 and 4 onward.  5 rows walk wholly
+        # in _tail_walk, _TAIL + 5 wholly in _em_walk.
         dt = 0.5 * max_stable_dt(2.0)
         c = doublewell._CHUNK
         kicks = [(c, 0), (c + 1, 0), (2 * c + 5, 1), (3 * c + 7, 0)]
-        (got,) = doublewell._escape_block(KickStream(kicks, dt), 5, constants(2.0, dt), 3 * c + 7)
-        np.testing.assert_array_equal(got, [c, c + 1, 3 * c + 7, 2 * c + 5, -1])
+        (got,) = doublewell._escape_block(KickStream(kicks, dt), rows, constants(2.0, dt),
+                                          3 * c + 7)
+        np.testing.assert_array_equal(got, [c, c + 1, 3 * c + 7, 2 * c + 5] + [-1] * (rows - 4))
+
+    def test_escape_block_enters_the_tail_partway(self, monkeypatch):
+        # 11 rows: three cross in the first chunk, which leaves _TAIL for
+        # _tail_walk.  In it, row 10 crosses at a chunk's first step, row 3
+        # inside it, row 5 at its last step and row 4 at the walk's last;
+        # row 6 is kicked twice and keeps its first crossing.
+        dt = 0.5 * max_stable_dt(2.0)
+        c = doublewell._CHUNK
+        kicks = [(5, 0), (17, 1), (c, 2),  # rows 0-2; active after: rows 3-10
+                 (c + 1, 7), (c + 8, 0), (2 * c, 2),  # rows 10, 3, 5; active after: 4, 6-9
+                 (2 * c + 6, 1), (2 * c + 7, 1),  # row 6; active after: 4, 7-9
+                 (3 * c + 7, 0)]  # row 4
+        widths = []
+        tail_walk = doublewell._tail_walk
+        monkeypatch.setattr(doublewell, "_tail_walk",
+                            lambda y, path, k1: widths.append(path.shape) or tail_walk(y, path, k1))
+        (got,) = doublewell._escape_block(KickStream(kicks, dt), doublewell._TAIL + 3,
+                                          constants(2.0, dt), 3 * c + 7)
+        np.testing.assert_array_equal(
+            got, [5, 17, c, c + 8, 3 * c + 7, 2 * c, 2 * c + 6, -1, -1, -1, c + 1])
+        assert widths == [(c, doublewell._TAIL), (c, 5), (7, 4)]
+
+    def test_tail_step_is_em_walks_bit_for_bit(self):
+        # _tail_walk repeats _em_walk's step in Python floats.  A rounding
+        # drift would seldom move a step count, so compare the states.
+        dt = 0.5 * max_stable_dt(2.0)
+        k1, root, scale = constants(2.0, dt)
+        y = root * np.linspace(0.5, 1.5, doublewell._TAIL)
+        path = np.empty((doublewell._CHUNK, y.size))
+        normals(make_stream(54, 0), path, scale)
+        y_tail = y.copy()
+        first = doublewell._tail_walk(y_tail, path.copy(), k1)
+        doublewell._em_walk(y, path, k1)
+        assert not first.any() and (y > 0.0).all()
+        assert y_tail.tobytes() == y.tobytes()
 
     def test_block_working_set_is_bounded(self):
         # A 2048-row block holds its output (1.3 MB for the default relax's

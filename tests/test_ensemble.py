@@ -109,8 +109,7 @@ class TestRunParallelEnsemble:
         with pytest.raises(ValueError):
             run_parallel_ensemble(draw_one, 5, master_seed=0, worker_count=0)
         # Above the cap the count is refused before any process starts.
-        monkeypatch.setattr(ensemble, "_live", None)
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", refuse_pool)
+        monkeypatch.setattr(ensemble, "_pool", refuse_pool)
         with pytest.raises(ValueError, match="worker_count"):
             run_parallel_ensemble(draw_one, 5, master_seed=0, worker_count=MAX_WORKERS + 1)
 
@@ -270,8 +269,7 @@ class TestShares:
                                                                     workers, seed):
         # Every block shares the seed, so a bad one is no block's error: it
         # is refused once, up front, as a plain ValueError.
-        monkeypatch.setattr(ensemble, "_live", None)
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", refuse_pool)
+        monkeypatch.setattr(ensemble, "_pool", refuse_pool)
         monkeypatch.setattr(ensemble, "make_stream", refuse_stream)
         with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\), got "):
             run_blocks(partial(fail_in, at=()), 300, 256, seed, worker_count=workers)
