@@ -23,6 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import oracles
+from .bounds import _check_positive
 from .ensemble import run_blocks, standard_error
 from .infotheory import BitChannelStats, bit_information, estimate_error_prob
 from .ou import _advance, _transition
@@ -98,7 +99,7 @@ def erase_dissipation_theory(u0, t):
     u0 = float(u0)
     t = float(t)
     if not (math.isfinite(u0) and u0 >= 0.0):
-        raise ValueError(f"u0 must be non-negative, got {u0!r}")
+        raise ValueError(f"u0 must be finite and non-negative, got {u0!r}")
     if not (t >= 0.0):
         raise ValueError(f"t must be non-negative, got {t!r}")
     mu = math.exp(-t)
@@ -116,8 +117,7 @@ def partial_erase_error_prob(u0, t, cell=None):
     """
     u0 = float(u0)
     t = float(t)
-    if not (math.isfinite(u0) and u0 > 0.0):
-        raise ValueError(f"u0 must be positive, got {u0!r}")
+    _check_positive(u0=u0)
     if not (t >= 0.0):
         raise ValueError(f"t must be non-negative, got {t!r}")
     if t == 0.0:
@@ -196,15 +196,17 @@ def _write_cap(u0, dt, rows):
     decorrelate (dt of tau and above), the 1/P(V >= u0) of independent
     draws, whichever is more.  The cap is oracles.CAP times that: the mean
     time is at least 0.35 tau and the tail decays like e^(-t/tau) or faster.
+    A walk reports at most the cap plus one round of steps, whose time in
+    tau must be finite.
     """
-    if not (math.isfinite(u0) and u0 > 0.0):
-        raise ValueError(f"u0 must be positive, got {u0!r}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_positive(u0=u0, dt=dt)
     steps = oracles.write_mfpt(u0, dt) / dt
     if steps < math.inf:  # then u0 < 37, and erfc(u0/sqrt(2)) is not 0
         steps = max(steps, 2.0 / math.erfc(u0 * math.sqrt(0.5)))
     oracles.check_budget(rows, steps, -(-rows // BLOCK))
+    longest = oracles.CAP * steps + _ROUND_WIDTH
+    if not longest * dt < math.inf:
+        raise ValueError(f"dt = {dt!r} overflows the time of a write of {longest:.3g} steps")
     return oracles.CAP * steps
 
 
@@ -346,8 +348,7 @@ def run_erasure_experiment(u0, durations, n, master_seed, *, worker_count=1):
     """
     u0 = float(u0)
     durations = [float(d) for d in durations]
-    if not (math.isfinite(u0) and u0 > 0.0):
-        raise ValueError(f"u0 must be positive, got {u0!r}")
+    _check_positive(u0=u0)
     _check_heat_range(u0, n)
     if not durations:
         raise ValueError("the duration grid is empty")

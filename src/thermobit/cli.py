@@ -37,6 +37,7 @@ from . import doublewell as dw_mod
 from . import infotheory as info_mod
 from .ensemble import EnsembleWorkerError, standard_error
 from .reporting import ConfigError, parse_config_file, write_csv, write_manifest
+from .streams import _check_word
 
 __all__ = ["main"]
 
@@ -91,19 +92,14 @@ def _add_opts(sp, opts):
         sp.add_argument("--" + flag, dest=flag.replace("-", "_"), **kwargs)
 
 
-def _check_keys(file_cfg, opts):
-    """Refuse config-file keys that name no option of the subcommand."""
-    known = {flag.replace("-", "_") for flag, *_ in opts} | {"output_dir"}
-    unknown = sorted(set(file_cfg) - known)
+def _resolve_opts(args, file_cfg, opts):
+    """Each option's value: the flag, else the config file (no unknown key), else the default."""
+    keys = [flag.replace("-", "_") for flag, *_ in opts]
+    unknown = sorted(set(file_cfg) - set(keys) - {"output_dir"})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-
-def _resolve_opts(args, file_cfg, opts):
-    """Each option's value: the flag, else the config file, else the default."""
     resolved = {}
-    for flag, typ, default, _help in opts:
-        key = flag.replace("-", "_")
+    for key, (_flag, typ, default, _help) in zip(keys, opts):
         value = getattr(args, key)
         if value is None and key in file_cfg:
             parse = _parse_bool if typ is bool else (_parse_floats if typ is list else typ)
@@ -368,8 +364,8 @@ def _run_verify(master_seed):
 def _runtime_errors():
     """The errors that exit 4: a dead pool worker's only once a pool has loaded its module."""
     pool = sys.modules.get("concurrent.futures.process")
-    return (cap_mod.WriteTimeoutError, dw_mod.EscapeInfeasibleError, bounds_mod.NoErasureError,
-            EnsembleWorkerError, OSError) + ((pool.BrokenProcessPool,) if pool else ())
+    return (dw_mod.EscapeInfeasibleError, bounds_mod.NoErasureError, EnsembleWorkerError,
+            OSError) + ((pool.BrokenProcessPool,) if pool else ())
 
 
 def main(argv=None):
@@ -383,25 +379,17 @@ def main(argv=None):
             joined.append(argv[i])
             i += 1
     args = build_parser().parse_args(joined)
+    spec = args._spec
 
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}
-        spec = args._spec
-        _check_keys(file_cfg, spec["opts"])
+        o = _resolve_opts(args, file_cfg, spec["opts"])
         output_dir = (args.output_dir or file_cfg.get("output_dir")
                       or os.environ.get("THERMOBIT_OUTPUT_DIR") or ".")
-
-        o = _resolve_opts(args, file_cfg, spec["opts"])
         if args._name[0] == "verify":
             # Checked up front: each criterion would otherwise fail on it in turn.
-            if not 0 <= o["master_seed"] < 2 ** 64:
-                raise ConfigError(f"--master-seed must lie in [0, 2**64), got {o['master_seed']}")
+            _check_word("master_seed", o["master_seed"])
             return _run_verify(o["master_seed"])
-    except ConfigError as exc:
-        print(f"thermobit: config error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
         base, rows, extras = spec["runner"](o)
         os.makedirs(output_dir, exist_ok=True)
         csv_path = os.path.join(output_dir, base + ".csv")
@@ -409,6 +397,9 @@ def main(argv=None):
         config = {"subcommand": "_".join(args._name), "output_dir": output_dir, **o}
         manifest_path = os.path.join(output_dir, base + ".manifest.json")
         write_manifest(manifest_path, config, [csv_path])
+    except ConfigError as exc:
+        print(f"thermobit: config error: {exc}", file=sys.stderr)
+        return 3
     except _runtime_errors() as exc:
         print(f"thermobit: runtime error: {exc}", file=sys.stderr)
         return 4

@@ -150,8 +150,7 @@ def _walk(barrier_kT, temperature, dt, n_traj, t):
     y would then stand still or lose digits.
     """
     bound = max_stable_dt(barrier_kT, temperature)
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_positive(dt=dt)
     if dt > bound * (1 + 1e-12):
         raise ValueError(f"dt={dt!r} exceeds the Euler-Maruyama stability bound {bound!r}")
     oracles.check_budget(n_traj, t / dt, -(-n_traj // BLOCK))
@@ -278,8 +277,7 @@ def _relax(barrier_kT, side, t_total, dt, n_traj, seed, temperature, worker_coun
         raise ValueError(f"side must be 0 or 1, got {side!r}")
     if n_traj < 100:
         raise ValueError("n_traj must be >= 100")
-    if not 0.0 < t_total < math.inf:
-        raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
+    _check_positive(t_total=t_total)
 
     # The step must be stable at the temperature the walk runs at.
     n_steps, walk = _walk(barrier_kT, temperature, dt, n_traj, t_total)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .bounds import _check_positive
 from .streams import RngStream
 
 __all__ = ["CellParams", "ou_step"]
@@ -51,6 +52,5 @@ def ou_step(v, dt, rng: RngStream):
     """
     if not np.all(np.isfinite(v)):
         raise ValueError("state must be finite")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _check_positive(dt=dt)
     return _advance(v, dt, rng.standard_normal(np.shape(v) or None))

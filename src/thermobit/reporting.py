@@ -1,15 +1,17 @@
 """Experiment configuration files, CSV emission, and run manifests.
 
-Config files are flat `key = value` text with `#` comments; CLI flags
-override file values.  CSV output carries a fixed documented header per
-subcommand, full round-trip float precision, and a trailing newline.
-A JSON manifest written next to each CSV records the resolved
-configuration and a sha256 per output, so a run can be replayed and
-checked byte-for-byte.
+Config files are flat `key = value` text with `#` comments; a `#` starts
+one only at a line's start or after whitespace, so `output_dir = runs/#3`
+keeps its `#`.  CLI flags override file values.  CSV output carries a
+fixed documented header per subcommand, full round-trip float precision,
+and a trailing newline.  A JSON manifest written next to each CSV records
+the resolved configuration and a sha256 per output, so a run can be
+replayed and checked byte-for-byte.
 """
 
 import hashlib
 import json
+import re
 import time
 
 from . import __version__
@@ -36,7 +38,7 @@ def parse_config_file(path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

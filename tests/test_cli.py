@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import thermobit
-from thermobit import capacitor, cli, doublewell, ensemble, verification
+from thermobit import capacitor, cli, doublewell, ensemble, oracles, verification
 from thermobit.capacitor import BLOCK
 from thermobit.reporting import format_value
 
@@ -47,6 +47,14 @@ class TestExitCodes:
         code, _, _ = run_cli(["capacitor", "mi-curve", "--durations-tau", "2,1",
                               "--n", "100", "--output-dir", str(tmp_path)])
         assert code == 3
+
+    def test_write_past_its_step_cap_is_runtime_error(self, tmp_path, monkeypatch, run_cli):
+        # A block's WriteTimeoutError reaches main wrapped in an EnsembleWorkerError.
+        monkeypatch.setattr(oracles, "CAP", 1e-9)
+        code, _, err = run_cli(["capacitor", "write", "--n", "10", "--output-dir", str(tmp_path)])
+        assert code == 4
+        assert "runtime error" in err and "no passage of" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_frozen_cube_is_runtime_error(self, tmp_path, run_cli):
         code, _, err = run_cli(["bounds", "icecube", "--ambient-K", "260",
@@ -120,8 +128,9 @@ class TestExitCodes:
         ["capacitor", "mi-curve", "--durations-tau", ""],  # no duration, no row
         ["capacitor", "write", "--dt-tau", "1e-300"],  # 2e300 expected steps
         ["capacitor", "write", "--u0-sigma", "40"],  # mean time e^800 past float range
+        ["capacitor", "write", "--dt-tau", "1e308"],  # the longest write's time overflows
     ], ids=["erase-u0-1e200", "mi-curve-u0-1e308", "mi-curve-empty-grid", "write-dt-1e-300",
-            "write-u0-40"])
+            "write-u0-40", "write-dt-1e308"])
     def test_capacitor_run_out_of_range_is_refused_before_any_block(
             self, tmp_path, monkeypatch, run_cli, argv):
         made = []
@@ -340,6 +349,29 @@ def test_non_finite_float_flag_is_config_error(tmp_path, monkeypatch, capsys, ca
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not made
+
+
+@pytest.mark.parametrize("case, value", [
+    (case, value) for case in _FLOAT_FLAGS for value in ("1e308", "1e-308", "5e-324")
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_huge_or_tiny_float_flag_runs_finite_or_is_config_error(tmp_path, monkeypatch, run_cli,
+                                                                case, value):
+    made = []
+    make_stream = ensemble.make_stream
+    monkeypatch.setattr(ensemble, "make_stream", lambda *args: made.append(args)
+                        or make_stream(*args))
+    group, sub, flag = case
+    code, _, err = run_cli([group, sub, f"--{flag}={value}", "--n", "100",
+                            "--output-dir", str(tmp_path)])
+    if code == 0:
+        (csv,) = tmp_path.glob("*.csv")
+        for row in csv.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(x)) for x in row.split(",")), row
+    else:
+        assert code == 3, err
+        assert "config error" in err
+        assert not list(tmp_path.glob("*.csv"))
+        assert not made
 
 
 # Zero is a valid erase level, erase duration and mi-curve duration.
@@ -588,6 +620,17 @@ class TestConfigPrecedence:
         code, _, _ = run_cli(["info", "eval", "--config", str(cfg),
                               "--output-dir", str(tmp_path)])
         assert code == 3
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path, monkeypatch, run_cli):
+        # A "#" starts a comment only at a line's start or after whitespace.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment line\noutput_dir = runs/#3\np_e = 0.25  # note\n")
+        code, out, _ = run_cli(["info", "eval", "--config", str(cfg)])
+        assert code == 0
+        assert json.loads(out)["config"]["p_e"] == 0.25
+        assert (tmp_path / "runs" / "#3" / "info_eval.csv").exists()
+        assert not (tmp_path / "runs" / "info_eval.csv").exists()
 
     def test_unknown_config_key_is_config_error(self, tmp_path, run_cli):
         cfg = tmp_path / "run.cfg"
